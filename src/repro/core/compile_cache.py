@@ -13,12 +13,11 @@ compiler can reuse per-stage artefacts independently:
 * ``synthesis``   — the device-specific :class:`KernelDesign`
 * ``result``      — a whole evaluation-harness :class:`FrameworkResult`
 
-The cache is tiered: a per-process in-memory store (values are held as
-objects; callers clone mutable IR on the way in/out), an optional
-on-disk tier under ``cache_dir`` (written atomically so parallel
-evaluation workers can share one directory), and an optional *shared
-network tier* under ``remote_dir`` — any filesystem path several machines
-can mount (NFS, sshfs, a synced directory).  The remote tier is
+The cache is tiered: a per-process in-memory store, an optional on-disk
+tier under ``cache_dir`` (written atomically so parallel evaluation
+workers can share one directory), and an optional *shared network tier*
+under ``remote_dir`` — any filesystem path several machines can mount
+(NFS, sshfs, a synced directory).  The remote tier is
 read-through/write-back: a local miss that hits the remote tier copies
 the artefact into the local tier, and fresh local stores are published
 back with the same atomic temp-file-then-rename protocol, so concurrent
@@ -27,37 +26,17 @@ content hashes, so cross-machine and cross-user dedup needs no
 coordination at all.  Hit/miss/store counts are recorded per stage and
 surfaced by ``--timing`` / the bench CLI.
 
-Storage formats
----------------
-
-Two on-disk formats are supported (``fmt=`` / ``--cache-format``):
-
-* ``pickle`` (default) — one pickle blob per entry (``.pkl``), fully
-  deserialised on every hit.
-* ``mapped`` — a sectioned container (``.shmc``): a small JSON header
-  naming lazily-decoded sections, restored via ``mmap`` so a hit only
-  ever touches the header plus the sections the consumer actually
-  decodes.  Values that implement the *mapped codec protocol*
-  (``__mapped_sections__`` / ``__from_mapped__``, see
-  :class:`~repro.core.pipeline.PassPrefixArtifact`) split into multiple
-  sections; everything else round-trips through a single ``value``
-  section.  Decoding always builds fresh private objects, so mapped
-  stores are implicitly isolated — there is no shared mutable state
-  between the cache and its callers.
-
-Both formats share the tiering, atomic publishing, stats, and gc logic;
-a cache instance reads and writes only its own format's extension, so a
-fleet must use one format consistently per cache directory.
+Every entry is one pickle blob (``.pkl`` on disk).  A store pickles the
+value once and every tier keeps those bytes, the memory tier included;
+every hit unpickles a private copy, so callers may mutate what they
+stored or got back without cloning it first.
 """
 
 from __future__ import annotations
 
-import importlib
-import json
-import mmap
+import gc
 import os
 import pickle
-import struct
 import sys
 import tempfile
 import threading
@@ -73,6 +52,11 @@ _PICKLE_RECURSION_LIMIT = 100_000
 
 _recursion_lock = threading.Lock()
 _recursion_floor_set = False
+
+#: ``gc.disable``/``gc.enable`` act on the whole process, so unpickles take
+#: turns: otherwise one thread's restore could re-enable the collector in
+#: the middle of another's, or leave it off for good.
+_gc_lock = threading.RLock()
 
 
 def _ensure_pickle_recursion_floor() -> None:
@@ -91,10 +75,6 @@ def _ensure_pickle_recursion_floor() -> None:
         if sys.getrecursionlimit() < _PICKLE_RECURSION_LIMIT:
             sys.setrecursionlimit(_PICKLE_RECURSION_LIMIT)
         _recursion_floor_set = True
-
-
-#: The storage formats `CompileCache` understands.
-CACHE_FORMATS = ("pickle", "mapped")
 
 
 @dataclass(frozen=True)
@@ -146,152 +126,6 @@ class CacheKey:
             options=entry.get("options", ""),
             extra=entry.get("extra", ""),
         )
-
-
-class _LazyBlob:
-    """Memory-tier placeholder: pickled bytes deserialised on first hit.
-
-    ``put(isolate=True)`` already has the serialised form in hand for the
-    disk tier; keeping the bytes (instead of eagerly unpickling a private
-    copy) makes cold-path stores one ``dumps`` total, and lookups that
-    never hit the entry never pay the ``loads``.
-    """
-
-    __slots__ = ("blob",)
-
-    def __init__(self, blob: bytes) -> None:
-        self.blob = blob
-
-
-# ---------------------------------------------------------------------------
-# Mapped container format
-# ---------------------------------------------------------------------------
-
-#: Mapped container: magic + u32 JSON-header length + header + sections.
-_MAPPED_MAGIC = b"SHMC0001"
-_MAPPED_HEADER_LEN = struct.Struct("<I")
-
-
-def _codec_name(value: Any) -> str:
-    cls = type(value)
-    return f"{cls.__module__}:{cls.__qualname__}"
-
-
-def _resolve_codec(name: str) -> type:
-    module_name, _, qualname = name.partition(":")
-    obj: Any = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    return obj
-
-
-def encode_mapped(value: Any) -> bytes:
-    """Encode ``value`` as a mapped container (header + pickled sections).
-
-    Values implementing ``__mapped_sections__() -> (meta, {name: obj})``
-    split into independently-decodable sections restored through their
-    class's ``__from_mapped__``; anything else becomes one ``value``
-    section with an empty codec.
-    """
-    if hasattr(value, "__mapped_sections__"):
-        codec = _codec_name(value)
-        meta, parts = value.__mapped_sections__()
-    else:
-        codec, meta, parts = "", {}, {"value": value}
-    payloads: list[bytes] = []
-    sections: dict[str, list[int]] = {}
-    offset = 0
-    for name, obj in parts.items():
-        blob = CompileCache._dumps(obj)
-        sections[name] = [offset, len(blob)]
-        offset += len(blob)
-        payloads.append(blob)
-    header = json.dumps(
-        {"codec": codec, "meta": meta, "sections": sections},
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
-    return b"".join(
-        [_MAPPED_MAGIC, _MAPPED_HEADER_LEN.pack(len(header)), header, *payloads]
-    )
-
-
-class MappedBlob:
-    """One mapped container over bytes or an ``mmap`` buffer.
-
-    Only the header is parsed up front; :meth:`section` unpickles a
-    section's byte range on demand, and :meth:`decode` rebuilds the
-    stored value through its codec — a *fresh private object* per call,
-    which is what makes the mapped memory tier isolation-free-by-design.
-    """
-
-    __slots__ = ("_buffer", "_handle", "_payload_start", "codec", "meta", "_sections")
-
-    def __init__(self, buffer: Any, handle: Any = None) -> None:
-        self._buffer = buffer
-        self._handle = handle
-        magic_len = len(_MAPPED_MAGIC)
-        prefix = magic_len + _MAPPED_HEADER_LEN.size
-        if len(buffer) < prefix or bytes(buffer[:magic_len]) != _MAPPED_MAGIC:
-            raise ValueError("not a mapped cache container")
-        (header_len,) = _MAPPED_HEADER_LEN.unpack_from(buffer, magic_len)
-        if len(buffer) < prefix + header_len:
-            raise ValueError("truncated mapped container header")
-        header = json.loads(bytes(buffer[prefix : prefix + header_len]))
-        self._payload_start = prefix + header_len
-        self.codec = header["codec"]
-        self.meta = header["meta"]
-        self._sections = header["sections"]
-
-    @classmethod
-    def from_file(cls, path: Path) -> "MappedBlob":
-        """Map ``path`` read-only; sections decode straight off the page
-        cache without ever copying the whole artefact into python."""
-        handle = path.open("rb")
-        try:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-            return cls(mapped, handle)
-        except (ValueError, OSError):
-            handle.close()
-            raise
-
-    def has_section(self, name: str) -> bool:
-        return name in self._sections
-
-    def section_names(self) -> list[str]:
-        return list(self._sections)
-
-    def section(self, name: str) -> Any:
-        """Unpickle one section's byte range (lazy; nothing else is read)."""
-        offset, length = self._sections[name]
-        start = self._payload_start + offset
-        return CompileCache._loads(bytes(self._buffer[start : start + length]))
-
-    def decode(self) -> Any:
-        """Rebuild the stored value (fresh private objects every call)."""
-        if not self.codec:
-            return self.section("value")
-        cls = _resolve_codec(self.codec)
-        return cls.__from_mapped__(self.meta, self.section, self.has_section)
-
-    def close(self) -> None:
-        if isinstance(self._buffer, mmap.mmap):
-            try:
-                self._buffer.close()
-            except Exception:
-                pass
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            except Exception:
-                pass
-            self._handle = None
-
-    def __del__(self) -> None:  # pragma: no cover - best-effort fd cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
 
 
 @dataclass
@@ -380,14 +214,10 @@ class CompileCache:
     >>> cache.stats.total_hits, cache.stats.total_misses
     (1, 1)
 
-    The mapped format stores sectioned, lazily-decoded containers and
-    always hands back fresh private objects:
+    Every hit is a private copy:
 
-    >>> mapped = CompileCache(fmt="mapped")
-    >>> mapped.put(key, "result", {"mpts": 1.5})
-    >>> hit = mapped.get(key, "result")
-    >>> hit == {'mpts': 1.5} and hit is not mapped.get(key, "result")
-    True
+    >>> cache.get(key, "result") is cache.get(key, "result")
+    False
 
     Pass ``cache_dir`` to add the on-disk tier (written atomically, safe
     to share between parallel evaluation workers) and ``remote_dir`` to
@@ -401,15 +231,11 @@ class CompileCache:
         cache_dir: str | Path | None = None,
         *,
         remote_dir: str | Path | None = None,
-        fmt: str = "pickle",
     ) -> None:
-        if fmt not in CACHE_FORMATS:
-            raise ValueError(f"unknown cache format {fmt!r}; expected one of {CACHE_FORMATS}")
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.remote_dir = Path(remote_dir) if remote_dir is not None else None
-        self.fmt = fmt
-        self._ext = ".pkl" if fmt == "pickle" else ".shmc"
-        self._memory: dict[str, Any] = {}
+        #: Pickled entries by digest: the same bytes the disk tiers hold.
+        self._memory: dict[str, bytes] = {}
         #: Incremental on-disk footprint; ``None`` until the first
         #: ``disk_bytes()``/``gc()`` rescan establishes the baseline.
         self._disk_bytes_counter: int | None = None
@@ -425,11 +251,11 @@ class CompileCache:
 
     def _path(self, digest: str) -> Path:
         assert self.cache_dir is not None
-        return self.cache_dir / digest[:2] / f"{digest}{self._ext}"
+        return self.cache_dir / digest[:2] / f"{digest}.pkl"
 
     def _remote_path(self, digest: str) -> Path:
         assert self.remote_dir is not None
-        return self.remote_dir / digest[:2] / f"{digest}{self._ext}"
+        return self.remote_dir / digest[:2] / f"{digest}.pkl"
 
     # -- pickle helpers -------------------------------------------------------
 
@@ -441,7 +267,17 @@ class CompileCache:
     @staticmethod
     def _loads(blob: bytes) -> Any:
         _ensure_pickle_recursion_floor()
-        return pickle.loads(blob)
+        # Every object an unpickle creates stays reachable from its result,
+        # so a collection triggered mid-load finds no garbage; on a large
+        # heap a full collection landing here costs more than the restore.
+        with _gc_lock:
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                return pickle.loads(blob)
+            finally:
+                if enabled:
+                    gc.enable()
 
     # -- core API -------------------------------------------------------------
 
@@ -454,18 +290,15 @@ class CompileCache:
     ) -> Any | None:
         """Look up one stage artefact; ``None`` means miss.
 
-        ``rehydrate`` post-processes the stored value (e.g. cloning cached
-        IR modules so callers can mutate their copy freely).  Lookup order
-        is memory → local disk → shared remote tier; a remote hit is
-        copied read-through into the local tiers.  In mapped mode the
-        disk tier is ``mmap``'d and decoded per section on demand, and
-        every hit decodes to fresh private objects.
+        ``rehydrate`` post-processes the stored value (e.g. restamping the
+        statistics of a cached compilation).  Lookup order is memory →
+        local disk → shared remote tier; a disk or remote hit is kept in
+        the memory tier, and a remote hit is also copied read-through
+        into the local disk tier.  Every hit unpickles a private copy.
         """
         digest = key.digest(stage)
         with self._lock:
-            value = (
-                self._get_mapped(digest) if self.fmt == "mapped" else self._get_pickle(digest)
-            )
+            value = self._restore(digest)
             if value is None:
                 self.stats.misses[stage] += 1
                 return None
@@ -502,72 +335,25 @@ class CompileCache:
             return True
         return False
 
-    def _get_pickle(self, digest: str) -> Any | None:
-        value: Any | None = None
-        if digest in self._memory:
-            value = self._memory[digest]
-            if isinstance(value, _LazyBlob):
-                try:
-                    value = self._loads(value.blob)
-                    self._memory[digest] = value
-                except Exception:
-                    # The bytes came from our own dumps; a failure here is
-                    # a corrupt entry, not a reason to retry the disk copy.
-                    self.stats.errors += 1
-                    del self._memory[digest]
-                    value = None
-        else:
+    def _restore(self, digest: str) -> Any | None:
+        """Unpickle ``digest`` from the first tier that holds it."""
+        blob = self._memory.get(digest)
+        tier: str | None = "memory"
+        if blob is None:
             blob, tier = self._read_tiers(digest)
-            if blob is not None:
-                try:
-                    value = self._loads(blob)
-                    self._memory[digest] = value
-                except Exception:
-                    # A truncated/stale/unreadable entry is a miss, not a crash.
-                    self.stats.errors += 1
-                    value = None
-                else:
-                    self._after_tier_hit(digest, tier, blob)
-        return value
-
-    def _get_mapped(self, digest: str) -> Any | None:
-        mapped: MappedBlob | None = self._memory.get(digest)
-        if mapped is None:
-            if self.cache_dir is not None:
-                try:
-                    mapped = MappedBlob.from_file(self._path(digest))
-                except OSError:
-                    mapped = None
-                except ValueError:
-                    self.stats.errors += 1
-                    mapped = None
-                else:
-                    self._after_tier_hit(digest, "disk", None)
-            if mapped is None and self.remote_dir is not None:
-                try:
-                    blob = self._remote_path(digest).read_bytes()
-                except OSError:
-                    blob = None
-                if blob is not None:
-                    try:
-                        mapped = MappedBlob(blob)
-                    except ValueError:
-                        self.stats.errors += 1
-                        mapped = None
-                    else:
-                        self._after_tier_hit(digest, "remote", blob)
-            if mapped is None:
+            if blob is None:
                 return None
-            self._memory[digest] = mapped
         try:
-            return mapped.decode()
+            value = self._loads(blob)
         except Exception:
-            # Undecodable sections (e.g. shared-intern references without
-            # an active table) degrade to a miss + recompile.
+            # A truncated/stale/unreadable entry is a miss, not a crash.
             self.stats.errors += 1
             self._memory.pop(digest, None)
-            mapped.close()
             return None
+        if tier != "memory":
+            self._memory[digest] = blob
+            self._after_tier_hit(digest, tier, blob)
+        return value
 
     def _read_tiers(self, digest: str) -> tuple[bytes | None, str | None]:
         """Raw bytes for ``digest`` from local disk, then the remote tier."""
@@ -583,7 +369,7 @@ class CompileCache:
                 pass
         return None, None
 
-    def _after_tier_hit(self, digest: str, tier: str | None, blob: bytes | None) -> None:
+    def _after_tier_hit(self, digest: str, tier: str | None, blob: bytes) -> None:
         if tier == "disk":
             # Refresh mtime so gc()'s LRU sees *use* recency, not just
             # store recency — hot entries must outlive cold one-offs in
@@ -594,55 +380,28 @@ class CompileCache:
                 pass
         elif tier == "remote":
             self.stats.remote_hits += 1
-            if self.cache_dir is not None and blob is not None:
+            if self.cache_dir is not None:
                 # Read-through: future lookups (and gc accounting) are
                 # served locally, with a fresh mtime.
                 self._write_local(self._path(digest), blob)
 
-    def put(self, key: CacheKey, stage: str, value: Any, *, isolate: bool = False) -> None:
-        """Store one stage artefact.
+    def put(self, key: CacheKey, stage: str, value: Any) -> None:
+        """Store one stage artefact in every configured tier.
 
-        With ``isolate=True`` the cache serialises ``value`` once and keeps
-        the *bytes* in the memory tier (deserialised lazily on first hit;
-        the same bytes go to disk), so callers may keep mutating the live
-        object after the call without re-pickling it themselves.  The
-        mapped format encodes immediately — it is always isolated — so
-        the flag is a no-op there.  A store lands in every configured
-        tier: memory, local disk and — written back with the same atomic
-        rename — the shared remote directory.
+        ``value`` is pickled once, and the memory tier, the local disk and
+        — written back with the same atomic rename — the shared remote
+        directory all keep those bytes, so the caller may go on mutating
+        ``value`` after the call.  An unpicklable value is not stored.
         """
         digest = key.digest(stage)
         with self._lock:
-            if self.fmt == "mapped":
-                try:
-                    blob = encode_mapped(value)
-                except Exception:
-                    # Unencodable artefacts cannot be stored in this format.
-                    self.stats.errors += 1
-                    return
-                self._memory[digest] = MappedBlob(blob)
-                self.stats.stores[stage] += 1
-            else:
-                blob = None
-                if isolate:
-                    try:
-                        blob = self._dumps(value)
-                    except Exception:
-                        # Unpicklable artefacts cannot be isolated: skip the store.
-                        self.stats.errors += 1
-                        return
-                    value = _LazyBlob(blob)
-                self._memory[digest] = value
-                self.stats.stores[stage] += 1
-                if self.cache_dir is None and self.remote_dir is None:
-                    return
-                if blob is None:
-                    try:
-                        blob = self._dumps(value)
-                    except Exception:
-                        # Unpicklable artefacts stay memory-tier only.
-                        self.stats.errors += 1
-                        return
+            try:
+                blob = self._dumps(value)
+            except Exception:
+                self.stats.errors += 1
+                return
+            self._memory[digest] = blob
+            self.stats.stores[stage] += 1
             if self.cache_dir is not None:
                 self._write_local(self._path(digest), blob)
             if self.remote_dir is not None and self._write_atomic(
@@ -692,13 +451,12 @@ class CompileCache:
         """Every on-disk entry as ``(mtime, size, path)``, oldest first."""
         assert self.cache_dir is not None
         entries: list[tuple[float, int, Path]] = []
-        for pattern in ("*/*.pkl", "*/*.shmc"):
-            for path in self.cache_dir.glob(pattern):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue  # a parallel writer/GC raced us; skip
-                entries.append((stat.st_mtime, stat.st_size, path))
+        for path in self.cache_dir.glob("*/*.pkl"):
+            try:
+                stat = path.stat()
+            except OSError:
+                continue  # a parallel writer/GC raced us; skip
+            entries.append((stat.st_mtime, stat.st_size, path))
         entries.sort(key=lambda e: (e[0], e[2].name))
         return entries
 
@@ -765,9 +523,6 @@ class CompileCache:
     def clear_memory(self) -> None:
         """Drop the in-memory tier (the disk tier, if any, stays)."""
         with self._lock:
-            for value in self._memory.values():
-                if isinstance(value, MappedBlob):
-                    value.close()
             self._memory.clear()
 
     def __len__(self) -> int:

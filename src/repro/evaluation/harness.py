@@ -41,7 +41,6 @@ from repro.dialects.builtin import ModuleOp
 from repro.evaluation.metrics import FrameworkResult
 from repro.fpga.device import ALVEO_U280, FPGADevice, device_by_name
 from repro.ir.hashing import module_hash
-from repro.ir.interning import open_shared_table, publish_intern_table
 from repro.ir.pass_registry import canonical_pipeline_spec
 from repro.kernels.grids import PW_ADVECTION_SIZES, TRACER_ADVECTION_SIZES, ProblemSize
 from repro.kernels.pw_advection import build_pw_advection
@@ -247,24 +246,6 @@ def expand_matrix_slots(
     return slots
 
 
-#: Per-worker-process memo of shared intern tables already opened; a
-#: worker opens each table path once, not once per case payload.
-_WORKER_TABLES: dict[str, bool] = {}
-
-
-def _ensure_worker_intern_table(path: str) -> bool:
-    """Open (once per process) the shared intern table a payload names.
-
-    A missing or unreadable table degrades to per-process interning —
-    the worker must never die because the parent's table is stale.
-    """
-    opened = _WORKER_TABLES.get(path)
-    if opened is None:
-        opened = open_shared_table(path) is not None
-        _WORKER_TABLES[path] = opened
-    return opened
-
-
 def _run_case_payload(payload: dict[str, Any]) -> dict[str, Any]:
     """Process-pool worker: evaluate one fully-pinned case.
 
@@ -274,25 +255,15 @@ def _run_case_payload(payload: dict[str, Any]) -> dict[str, Any]:
     disk-backed cache directory *is* shared: its writes are atomic, so
     pool workers reuse each other's ``pass-prefix``/``middle-end``/
     ``synthesis`` artefacts — without this, ``jobs > 1`` would silently
-    recompile everything prefix-aware scheduling set up to share.  A
-    payload may also name a shared intern table (``intern_table``): the
-    worker opens it read-only so unpickled attributes resolve against
-    the parent's published canonical records instead of re-interning.
+    recompile everything prefix-aware scheduling set up to share.
     """
-    table_path = payload.get("intern_table")
-    if table_path:
-        _ensure_worker_intern_table(table_path)
     cache_dir = payload.get("cache_dir")
     remote_cache_dir = payload.get("remote_cache_dir")
     harness = EvaluationHarness(
         device=device_by_name(payload["device"]),
         repeats=payload["repeats"],
         cache=(
-            CompileCache(
-                cache_dir,
-                remote_dir=remote_cache_dir,
-                fmt=payload.get("cache_format", "pickle"),
-            )
+            CompileCache(cache_dir, remote_dir=remote_cache_dir)
             if cache_dir or remote_cache_dir
             else None
         ),
@@ -332,11 +303,6 @@ class EvaluationHarness:
     cache: CompileCache | None = None
     #: Default process-pool width for :meth:`run_matrix` (1 = in-process).
     jobs: int = 1
-    #: Optional shared intern table directory: published (parent) before a
-    #: pool dispatch and opened read-only by every worker, so workers
-    #: warm-start their attribute interner from the parent's canonical
-    #: records instead of reconstructing and re-hashing each one.
-    intern_table: str | None = None
     _module_cache: dict[tuple[str, tuple[int, int, int]], ModuleOp] = field(default_factory=dict)
     _hash_cache: dict[tuple[str, tuple[int, int, int]], str] = field(default_factory=dict)
     #: The compile service shares one harness between its event loop and
@@ -527,14 +493,6 @@ class EvaluationHarness:
         # Either way results are published through ``on_result`` as they
         # complete (``pool.map`` yields lazily in submission order).
         if jobs > 1 and len(pending) > 1:
-            if self.intern_table is not None:
-                # Warm-start the pool: build every pending module in the
-                # parent (populating the interner with the full attribute
-                # working set) and publish the canonical records, so each
-                # worker opens the table instead of re-interning cold.
-                for i in pending:
-                    self.build_module(slots[i][0].kernel, slots[i][0].size.shape)
-                publish_intern_table(self.intern_table)
             payloads = [
                 {
                     "kernel": slots[i][0].kernel,
@@ -544,8 +502,6 @@ class EvaluationHarness:
                     "variant": slots[i][0].variant,
                     "device": self.device.name,
                     "repeats": self.repeats,
-                    "intern_table": self.intern_table,
-                    "cache_format": self.cache.fmt if self.cache is not None else "pickle",
                     "cache_dir": (
                         str(self.cache.cache_dir)
                         if self.cache is not None and self.cache.cache_dir is not None

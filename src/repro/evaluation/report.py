@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.core.compile_cache import CACHE_FORMATS, CompileCache
+from repro.core.compile_cache import CompileCache
 from repro.evaluation.figures import (
     FIGURE_FRAMEWORKS,
     figure4_performance,
@@ -189,14 +189,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cache-max-bytes", type=int, default=None, metavar="BYTES",
                         help="evict least-recently-used cache entries down to this "
                         "on-disk budget after the run")
-    parser.add_argument("--cache-format", choices=CACHE_FORMATS, default="pickle",
-                        help="compile-cache storage format: 'pickle' (one blob "
-                        "per entry) or 'mapped' (sectioned container, mmap'd + "
-                        "lazily decoded on hits; default pickle)")
-    parser.add_argument("--shared-intern-table", default=None, metavar="DIR",
-                        help="shared attribute intern table directory: "
-                        "published before a --jobs pool dispatch and opened "
-                        "read-only by every worker to warm-start its interner")
     parser.add_argument("--shard", type=str, default=None, metavar="I/N",
                         help="run only the I-th of N deterministic case shards "
                         "(1-based); merge shard outputs with merge_result_files")
@@ -209,18 +201,11 @@ def main(argv: list[str] | None = None) -> int:
 
     cache = None
     if (args.cache_dir or args.remote_cache_dir) and not args.no_cache:
-        cache = CompileCache(
-            args.cache_dir, remote_dir=args.remote_cache_dir, fmt=args.cache_format
-        )
+        cache = CompileCache(args.cache_dir, remote_dir=args.remote_cache_dir)
     if args.cache_max_bytes is not None and (cache is None or cache.cache_dir is None):
         parser.error("--cache-max-bytes needs an active local cache "
                      "(--cache-dir without --no-cache)")
-    harness = EvaluationHarness(
-        repeats=args.repeats,
-        cache=cache,
-        jobs=max(args.jobs, 1),
-        intern_table=args.shared_intern_table,
-    )
+    harness = EvaluationHarness(repeats=args.repeats, cache=cache, jobs=max(args.jobs, 1))
     cases = _quick_cases() if args.quick else list(DEFAULT_CASES)
     if args.shard:
         try:

@@ -18,43 +18,12 @@ Interning is per-process.  Pickled attributes therefore re-intern on load
 ``Attribute``), which keeps identity-equality sound across the
 ``ProcessPoolExecutor`` workers of the evaluation matrix and across
 disk-cache round-trips.
-
-Shared cross-process table
---------------------------
-
-On top of the per-process interner sits an *on-disk, mmap-able* table of
-canonical attribute records (:class:`SharedInternTable`).  A parent
-process :func:`publishes <publish_intern_table>` its interner contents as
-append-only segment files keyed by structural digest; pool / fleet
-workers :func:`open <open_shared_table>` the table read-only.  While a
-table is active in a process:
-
-* ``Attribute.__reduce__`` shrinks to a ``(resolve_shared, (digest,))``
-  table reference for every attribute the table holds, so pickled
-  modules / artifacts stop carrying attribute state at all;
-* :func:`resolve_shared` decodes the record lazily from the mapped
-  segment (memoised per process) and re-interns it, preserving identity
-  equality with locally-constructed attributes.
-
-The table is strictly an accelerator: a missing or stale table falls
-back to per-process interning and full-state pickling, and a reference
-blob loaded in a process *without* the table fails with an ordinary
-``UnpicklingError`` (which the compile cache already treats as a miss).
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
-import mmap
-import os
-import pickle
-import struct
-import tempfile
 import threading
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ir.core import Attribute
@@ -65,9 +34,8 @@ def frame(parts: Iterable[str]) -> bytes:
 
     Length-prefixing makes the encoding injective even though the parts
     are unescaped user data — no separator a part could contain can make
-    two different part sequences encode alike.  Shared by the module
-    fingerprints (:mod:`repro.ir.hashing`) and the structural digests of
-    the shared intern table below.
+    two different part sequences encode alike.  Used by the module
+    fingerprints (:mod:`repro.ir.hashing`).
     """
     return "".join(f"{len(part)}:{part}" for part in parts).encode("utf-8")
 
@@ -186,490 +154,5 @@ def reconstruct_interned(cls: type, state: dict[str, Any]) -> "Attribute":
     """
     instance = object.__new__(cls)
     state.pop("_hash", None)  # recomputed (or inherited) at intern time
-    state.pop("_digest", None)  # structural digest is recomputed on demand
-    state.pop("_prefer_ref", None)  # sizing memo is recomputed on demand
     instance.__dict__.update(state)
     return ATTRIBUTE_INTERNER.intern(instance)
-
-
-# ---------------------------------------------------------------------------
-# Structural digests
-# ---------------------------------------------------------------------------
-
-
-def _encode_param(obj: Any) -> str:
-    """Canonical, type-tagged encoding of one ``parameters()`` element.
-
-    Injective across python types that compare unequal (``True`` and ``1``
-    encode differently even though ``True == 1``), and recursive through
-    containers; nested attributes collapse to their own digest.
-    """
-    from repro.ir.core import Attribute
-
-    if isinstance(obj, Attribute):
-        return "a:" + attribute_digest(obj)
-    if isinstance(obj, bool):  # before int: bool is an int subclass
-        return "b:1" if obj else "b:0"
-    if isinstance(obj, int):
-        return f"i:{obj}"
-    if isinstance(obj, float):
-        return "f:" + obj.hex()
-    if isinstance(obj, str):
-        return "s:" + obj
-    if isinstance(obj, bytes):
-        return "y:" + obj.hex()
-    if obj is None:
-        return "n:"
-    if isinstance(obj, (tuple, list)):
-        return "t:" + frame([_encode_param(o) for o in obj]).decode("utf-8")
-    if isinstance(obj, dict):
-        items = sorted((_encode_param(k), _encode_param(v)) for k, v in obj.items())
-        return "d:" + frame([p for kv in items for p in kv]).decode("utf-8")
-    if isinstance(obj, (set, frozenset)):
-        return "e:" + frame(sorted(_encode_param(o) for o in obj)).decode("utf-8")
-    return "r:" + repr(obj)
-
-
-def attribute_digest(attr: "Attribute") -> str:
-    """Stable structural digest (sha256 hex) of one attribute.
-
-    Covers the class identity and the canonical encoding of
-    ``parameters()``; memoised on the instance (canonical instances are
-    immutable, so the digest never changes).
-    """
-    cached = attr.__dict__.get("_digest")
-    if cached is not None:
-        return cached
-    cls = type(attr)
-    payload = frame(
-        ["attr", cls.__module__, cls.__qualname__, _encode_param(attr.parameters())]
-    )
-    digest = hashlib.sha256(payload).hexdigest()
-    attr.__dict__["_digest"] = digest
-    return digest
-
-
-# ---------------------------------------------------------------------------
-# Shared on-disk table
-# ---------------------------------------------------------------------------
-
-#: Segment file header: magic + u64 record count.
-_SEGMENT_MAGIC = b"SHMT0001"
-_SEGMENT_COUNT = struct.Struct("<Q")
-#: Per-record header: u32 payload length + raw 32-byte structural digest.
-_RECORD_HEADER = struct.Struct("<I32s")
-
-
-class _RecordPickler(pickle.Pickler):
-    """Record encoder: nested attributes become digest references.
-
-    ``persistent_id`` intercepts nested :class:`Attribute` instances
-    *before* their ``__reduce__`` runs, so record payloads are
-    self-contained relative to the table regardless of whether a table is
-    active in the publishing process.
-    """
-
-    def persistent_id(self, obj: Any) -> bytes | None:
-        from repro.ir.core import Attribute
-
-        if isinstance(obj, Attribute):
-            # Raw 32-byte digest: half the pickled size of the hex form.
-            return bytes.fromhex(attribute_digest(obj))
-        return None
-
-
-class _RecordUnpickler(pickle.Unpickler):
-    """Record decoder: digest references resolve through the table."""
-
-    def __init__(self, data: bytes, table: "SharedInternTable") -> None:
-        super().__init__(io.BytesIO(data))
-        self._shared_table = table
-
-    def persistent_load(self, pid: Any) -> Any:
-        return self._shared_table.resolve(pid)
-
-
-def _encode_record(attr: "Attribute") -> bytes:
-    """Pickle ``(cls, state)`` with nested attributes as digest refs."""
-    state = {
-        k: v
-        for k, v in attr.__dict__.items()
-        if k not in ("_hash", "_digest", "_prefer_ref")
-    }
-    buffer = io.BytesIO()
-    _RecordPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump((type(attr), state))
-    return buffer.getvalue()
-
-
-class SharedInternTable:
-    """Read-only view of an on-disk attribute table (mmap'd segments).
-
-    A table is a directory of append-only segment files.  Each segment is
-    content-addressed (its name embeds a hash of its bytes) and written
-    atomically, so concurrent publishers can only ever add *new* files —
-    readers never observe a torn segment.  Opening a table scans segment
-    headers only; record payloads stay untouched (and unread, thanks to
-    the mmap) until :meth:`resolve` first needs them.
-    """
-
-    def __init__(self, path: Path) -> None:
-        self.path = path
-        self._segments: dict[str, mmap.mmap] = {}
-        self._files: list[Any] = []
-        self._index: dict[str, tuple[mmap.mmap, int, int]] = {}
-        #: 8-byte digest prefix → full hex digest (``None`` = ambiguous).
-        self._short: dict[bytes, str | None] = {}
-        self._resolved: dict[str | bytes, "Attribute"] = {}
-
-    @classmethod
-    def open(cls, path: str | os.PathLike) -> "SharedInternTable":
-        """Open (and index) the table at ``path``; raises ``OSError`` if
-        the directory does not exist."""
-        root = Path(path)
-        if not root.is_dir():
-            raise FileNotFoundError(f"no shared intern table at {root}")
-        table = cls(root)
-        table.refresh()
-        return table
-
-    def refresh(self) -> int:
-        """Index segment files added since open; returns new record count."""
-        added = 0
-        for segment in sorted(self.path.glob("seg-*.bin")):
-            if segment.name in self._segments:
-                continue
-            added += self._index_segment(segment)
-        return added
-
-    def _index_segment(self, segment: Path) -> int:
-        try:
-            handle = segment.open("rb")
-        except OSError:
-            return 0
-        try:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):  # empty or vanished file
-            handle.close()
-            return 0
-        header = len(_SEGMENT_MAGIC) + _SEGMENT_COUNT.size
-        if len(mapped) < header or mapped[: len(_SEGMENT_MAGIC)] != _SEGMENT_MAGIC:
-            mapped.close()
-            handle.close()
-            return 0  # foreign or corrupt file: skip, don't fail the open
-        (count,) = _SEGMENT_COUNT.unpack_from(mapped, len(_SEGMENT_MAGIC))
-        offset = header
-        added = 0
-        for _ in range(count):
-            if offset + _RECORD_HEADER.size > len(mapped):
-                break  # truncated tail: index what we can
-            length, raw = _RECORD_HEADER.unpack_from(mapped, offset)
-            offset += _RECORD_HEADER.size
-            if offset + length > len(mapped):
-                break
-            digest = raw.hex()
-            self._index[digest] = (mapped, offset, length)
-            prefix = raw[:8]
-            if prefix not in self._short:
-                self._short[prefix] = digest
-            elif self._short[prefix] != digest:
-                self._short[prefix] = None  # collision: short refs disabled
-            offset += length
-            added += 1
-        self._segments[segment.name] = mapped
-        self._files.append(handle)
-        return added
-
-    def __contains__(self, digest: str) -> bool:
-        return digest in self._index
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def resolve(self, digest: str | bytes) -> "Attribute":
-        """Decode (lazily, memoised) and re-intern the record for ``digest``.
-
-        Accepts the hex form, the raw 32-byte form, or the short 8-byte
-        prefix form (the compact pickle reference encoding; falls back to
-        the full digest when a published prefix is ambiguous).  An index
-        miss refreshes once before raising — a publisher may have appended
-        a segment after this reader opened the table.
-        """
-        # Memoised under the caller's key form so the hot path (repeated
-        # reference resolution while unpickling payloads) never converts.
-        hit = self._resolved.get(digest)
-        if hit is not None:
-            return hit
-        key = digest
-        if isinstance(digest, bytes):
-            if len(digest) == 8:
-                full = self._short.get(digest)
-                if full is None:
-                    self.refresh()
-                    full = self._short.get(digest)
-                if full is None:
-                    raise KeyError(
-                        f"short attribute reference {digest.hex()} is "
-                        "unknown (or ambiguous) in the shared intern table"
-                    )
-                digest = full
-            else:
-                digest = digest.hex()
-            hit = self._resolved.get(digest)
-            if hit is not None:
-                self._resolved[key] = hit
-                return hit
-        entry = self._index.get(digest)
-        if entry is None:
-            self.refresh()
-            entry = self._index.get(digest)
-            if entry is None:
-                raise KeyError(f"digest {digest!r} not in shared intern table")
-        mapped, offset, length = entry
-        cls, state = _RecordUnpickler(mapped[offset : offset + length], self).load()
-        instance = object.__new__(cls)
-        instance.__dict__.update(state)
-        canonical = ATTRIBUTE_INTERNER.intern(instance)
-        canonical.__dict__.setdefault("_digest", digest)
-        self._resolved[digest] = canonical
-        if key is not digest:
-            self._resolved[key] = canonical
-        return canonical
-
-    def preload(self) -> int:
-        """Eagerly resolve every record (warm-start); returns table size."""
-        for digest in list(self._index):
-            self.resolve(digest)
-        return len(self._index)
-
-    def close(self) -> None:
-        self._index.clear()
-        self._resolved.clear()
-        for mapped in self._segments.values():
-            with contextlib.suppress(Exception):
-                mapped.close()
-        self._segments.clear()
-        for handle in self._files:
-            with contextlib.suppress(Exception):
-                handle.close()
-        self._files.clear()
-
-
-#: The table (if any) active in this process: publish/open install it here,
-#: and ``Attribute.__reduce__`` / ``resolve_shared`` consult it.
-_ACTIVE_TABLE: SharedInternTable | None = None
-
-
-def activate_table(table: SharedInternTable | None) -> SharedInternTable | None:
-    """Install ``table`` as this process's active table; returns the old one."""
-    global _ACTIVE_TABLE
-    previous = _ACTIVE_TABLE
-    _ACTIVE_TABLE = table
-    return previous
-
-
-def active_table() -> SharedInternTable | None:
-    """The shared table currently active in this process, if any."""
-    return _ACTIVE_TABLE
-
-
-@contextlib.contextmanager
-def activated_table(table: SharedInternTable | None) -> Iterator[None]:
-    """Scoped :func:`activate_table` (tests and benchmarks)."""
-    previous = activate_table(table)
-    try:
-        yield
-    finally:
-        activate_table(previous)
-
-
-@contextlib.contextmanager
-def scratch_interner() -> Iterator[AttributeInterner]:
-    """Swap in a fresh process interner for the scope (tests/benchmarks).
-
-    Everything constructed inside the scope interns into the scratch
-    table, simulating a cold worker process without forking one.
-    """
-    global ATTRIBUTE_INTERNER
-    previous = ATTRIBUTE_INTERNER
-    ATTRIBUTE_INTERNER = AttributeInterner()
-    try:
-        yield ATTRIBUTE_INTERNER
-    finally:
-        ATTRIBUTE_INTERNER = previous
-
-
-def open_shared_table(
-    path: str | os.PathLike, *, preload: bool = False
-) -> SharedInternTable | None:
-    """Open the table at ``path`` and activate it for this process.
-
-    Returns ``None`` (leaving per-process interning untouched) when the
-    table is missing or unreadable — a worker pointed at a stale path must
-    degrade, not die.
-    """
-    try:
-        table = SharedInternTable.open(path)
-    except OSError:
-        return None
-    if preload:
-        table.preload()
-    activate_table(table)
-    return table
-
-
-def _closure(attrs: Iterable["Attribute"]) -> list["Attribute"]:
-    """``attrs`` plus every attribute nested in their parameters."""
-    from repro.ir.core import Attribute
-
-    seen: dict[int, "Attribute"] = {}
-    stack = list(attrs)
-    while stack:
-        attr = stack.pop()
-        if id(attr) in seen:
-            continue
-        seen[id(attr)] = attr
-        pending = [attr.parameters()]
-        while pending:
-            obj = pending.pop()
-            if isinstance(obj, Attribute):
-                stack.append(obj)
-            elif isinstance(obj, (tuple, list, set, frozenset)):
-                pending.extend(obj)
-            elif isinstance(obj, dict):
-                pending.extend(obj.keys())
-                pending.extend(obj.values())
-    return list(seen.values())
-
-
-def publish_intern_table(
-    path: str | os.PathLike, attrs: Iterable["Attribute"] | None = None
-) -> int:
-    """Publish interned attributes to the table at ``path``.
-
-    Writes one new append-only segment holding every attribute (closure
-    over nested parameters) whose digest the table does not already hold;
-    returns the number of records written.  The segment file is
-    content-addressed and renamed into place atomically, so concurrent
-    publishers cannot tear the table — they only ever add whole files.
-    If this process has the same table active, it is refreshed in place.
-    """
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    existing: set[str] = set()
-    try:
-        current = SharedInternTable.open(root)
-        existing = set(current._index)
-        current.close()
-    except OSError:
-        pass
-
-    candidates = _closure(
-        ATTRIBUTE_INTERNER.canonical() if attrs is None else attrs
-    )
-    records: list[tuple[str, bytes]] = []
-    for attr in candidates:
-        digest = attribute_digest(attr)
-        if digest in existing:
-            continue
-        existing.add(digest)
-        records.append((digest, _encode_record(attr)))
-
-    if records:
-        body = io.BytesIO()
-        body.write(_SEGMENT_MAGIC)
-        body.write(_SEGMENT_COUNT.pack(len(records)))
-        for digest, payload in records:
-            body.write(_RECORD_HEADER.pack(len(payload), bytes.fromhex(digest)))
-            body.write(payload)
-        content = body.getvalue()
-        name = f"seg-{hashlib.sha256(content).hexdigest()[:16]}.bin"
-        target = root / name
-        if not target.exists():
-            fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(content)
-                os.replace(tmp, target)
-            except OSError:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
-                raise
-
-    table = _ACTIVE_TABLE
-    if table is not None and table.path == root:
-        table.refresh()
-    return len(records)
-
-
-def resolve_shared(digest: str | bytes) -> "Attribute":
-    """Pickle target of table references (see ``Attribute.__reduce__``).
-
-    Only resolvable in a process with an active table; elsewhere the
-    blob is simply undecodable — the compile cache counts that as an
-    error + miss and recompiles, so reference blobs can never corrupt a
-    consumer that lacks the table.
-    """
-    table = _ACTIVE_TABLE
-    if table is None:
-        shown = digest.hex() if isinstance(digest, bytes) else digest
-        raise pickle.UnpicklingError(
-            f"attribute reference {shown[:12]}… requires a shared intern "
-            "table, and none is active in this process"
-        )
-    try:
-        return table.resolve(digest)
-    except KeyError as exc:
-        raise pickle.UnpicklingError(str(exc)) from exc
-
-
-def _prefers_reference(attr: "Attribute") -> bool:
-    """Would a table reference pickle smaller than the full state?
-
-    A short reference costs ~18 pickled bytes, so trivially small scalar
-    attributes (an ``IntAttr``, a short ``StringAttr``) stay inline —
-    they are also cheaper to rebuild than to resolve.  Compound
-    attributes (nested attributes, dictionaries, long strings or tuples)
-    collapse to the reference.  Memoised per canonical instance.
-    """
-    cached = attr.__dict__.get("_prefer_ref")
-    if cached is not None:
-        return cached
-    from repro.ir.core import Attribute
-
-    budget = 16  # ≈ the pickled size of one short reference
-    prefer = False
-    pending: list[Any] = [attr.parameters()]
-    while pending and not prefer:
-        obj = pending.pop()
-        if isinstance(obj, Attribute) or isinstance(obj, dict):
-            prefer = True  # the reference collapses a whole subtree
-        elif isinstance(obj, (tuple, list, set, frozenset)):
-            pending.extend(obj)
-        elif isinstance(obj, (str, bytes)):
-            budget -= len(obj) + 2
-            prefer = budget < 0
-        elif obj is None or isinstance(obj, (int, float)):
-            budget -= 3
-            prefer = budget < 0
-        else:
-            prefer = True  # unknown payload: let the table own it
-    attr.__dict__["_prefer_ref"] = prefer
-    return prefer
-
-
-def table_reduce(attr: "Attribute") -> tuple | None:
-    """The ``(resolve_shared, (digest,))`` reduction for ``attr``, if the
-    active table holds it (and the reference is actually smaller than the
-    attribute's full state); ``None`` means pickle the full state."""
-    table = _ACTIVE_TABLE
-    if table is None:
-        return None
-    if not _prefers_reference(attr):
-        return None
-    digest = attribute_digest(attr)
-    if digest not in table:
-        return None
-    raw = bytes.fromhex(digest)
-    if table._short.get(raw[:8]) == digest:
-        return (resolve_shared, (raw[:8],))  # unambiguous: short reference
-    return (resolve_shared, (raw,))

@@ -30,7 +30,7 @@ from repro.transforms.stencil_hls import (
     StencilWavePipeliningPass,
     build_stencil_to_hls_pipeline,
 )
-from repro.transforms.stencil_to_hls import StencilToHLSPass, StencilToHLSOptions
+from repro.transforms.stencil_to_hls import StencilToHLSPass
 from repro.transforms.hls_to_llvm import HLSToLLVMPass
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "StencilInterfaceLoweringPass",
     "StencilShapeInferencePass",
     "StencilSmallDataBufferingPass",
-    "StencilToHLSOptions",
     "StencilToHLSPass",
     "StencilToSCFPass",
     "StencilWavePipeliningPass",

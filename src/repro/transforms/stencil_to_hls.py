@@ -33,8 +33,6 @@ the synthesis model, functional simulator and resource/power models consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.config import CompilerOptions
 from repro.core.plan import DataflowPlan
 from repro.dialects.builtin import ModuleOp
@@ -43,13 +41,6 @@ from repro.transforms.stencil_hls import (
     StencilLoweringPass,
     build_stencil_to_hls_pipeline,
 )
-
-
-@dataclass
-class StencilToHLSOptions:
-    """Backwards-compatible alias bundle (see :class:`CompilerOptions`)."""
-
-    options: CompilerOptions
 
 
 class StencilToHLSPass(StencilLoweringPass):

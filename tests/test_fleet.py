@@ -267,78 +267,6 @@ class TestSharedCacheTierAcrossWorkers:
         assert all(s["remote_stores"] == 0 for s in stats)  # nothing recomputed
 
 
-class TestZeroCopyFleet:
-    def test_chaos_kill_with_mapped_cache_and_intern_table(self, tmp_path):
-        """The zero-copy hot path under fire: mapped cache artefacts + the
-        shared intern table, a worker SIGKILLed mid-shard and its work
-        stolen.  The merged report must still be byte-identical to a serial
-        run, with zero recompiles and cross-worker mapped-artefact reuse —
-        and the stolen (replacement) shard must inherit both flags."""
-        cases = _hmls_cases(["staged", "ii-2", "depth-8", "depth-64"])
-        plan = plan_matrix(cases, shards=2)
-        victim = max(plan.shards, key=lambda s: len(s.cases)).index
-        events_path = tmp_path / "events.jsonl"
-        table_dir = tmp_path / "intern-table"
-        code, merged = orchestrate(
-            plan,
-            state_dir=tmp_path / "state",
-            launcher=SubprocessLauncher(),
-            cache_dir=str(tmp_path / "cache"),
-            cache_format="mapped",
-            intern_table=str(table_dir),
-            events=EventWriter(events_path),
-            output=tmp_path / "merged.json",
-            max_retries=2,
-            retry_backoff=0.0,
-            chaos_kill_shard=victim,
-            chaos_kill_after=1,
-        )
-        assert code == 0
-        assert (tmp_path / "merged.json").read_text() == _serial_report(cases)
-
-        events = read_events(events_path)
-        kinds = [e["event"] for e in events]
-        assert "chaos_kill" in kinds and "shard_requeued" in kinds
-        # The parent published the table before launching the fleet …
-        published = [e for e in events if e["event"] == "intern_table"]
-        assert published and published[0]["records"] > 0
-        assert list(table_dir.glob("seg-*.bin"))
-        # … and workers republished after their shards (append-only, so
-        # concurrent publishers at worst add whole new segment files).
-
-        digests = [e["digest"] for e in events if e["event"] == "case_finished"]
-        assert len(digests) == len(set(digests)) == len(pin_cases(cases))
-        replacement_stats = [
-            e["cache_stats"]
-            for e in events
-            if e["event"] == "shard_finished" and e["shard"] > 2
-        ]
-        assert replacement_stats  # the steal really happened, under mapped
-        assert any(
-            _stage_hits(s, "pass-prefix") + _stage_hits(s, "pass-prefix-hash") > 0
-            for s in replacement_stats
-        )
-
-    def test_stale_intern_table_degrades_to_per_process_interning(self, tmp_path):
-        """A worker whose spec points at a vanished intern table must run
-        the shard normally (identity falls back to per-process interning)."""
-        from repro.evaluation.orchestrator import run_shard_spec, shard_spec
-
-        cases = _baseline_cases()
-        plan = plan_matrix(cases, shards=1)
-        state = tmp_path / "state"
-        state.mkdir()
-        spec = shard_spec(
-            plan.shards[0],
-            state_dir=state,
-            cache_format="mapped",
-            intern_table=str(tmp_path / "never-published"),
-        )
-        assert run_shard_spec(spec) == 0
-        results = json.loads((state / "results-shard1.json").read_text())
-        assert len(results) == len(cases)
-
-
 class TestEventForwarderByteOffsets:
     def test_multibyte_names_do_not_desync_the_tail(self, tmp_path):
         """Regression: the forwarder seeked byte offsets but advanced them
