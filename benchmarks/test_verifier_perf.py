@@ -25,9 +25,11 @@ from repro.kernels.grids import TRACER_ADVECTION_SIZES
 from repro.kernels.tracer_advection import build_tracer_advection
 
 #: Required advantage of the index-cached verifier over the legacy
-#: linear-scan strategy.  Measured ~2.5-3x on the wide module; 1.4x keeps
-#: headroom for noisy CI machines while still catching a regression to
-#: quadratic scans.
+#: linear-scan strategy.  Measured 1.7-2.6x on the wide module over ten
+#: runs (2-core Xeon, Python 3.11); operations compare by identity, so
+#: the legacy ``index_of`` scans run at C speed (with a Python-level
+#: ``Operation.__eq__`` the same runs measured 4.4-6.3x).  1.4x still
+#: catches a regression to quadratic scans.
 MIN_SPEEDUP = 1.4
 
 _RECORD: dict[str, object] = {}

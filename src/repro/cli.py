@@ -114,9 +114,6 @@ def main_compile(argv: list[str] | None = None) -> int:
             if stat.note:
                 status += f" ({stat.note})"
             print(f"  {stat.name:<44} {stat.seconds * 1e3:9.3f} ms  {status}")
-        if compiler.analysis_statistics is not None:
-            for line in compiler.analysis_statistics.summary_lines():
-                print(line)
         if cache is not None:
             cache.disk_bytes()
             for line in cache.stats.summary_lines():

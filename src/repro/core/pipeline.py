@@ -38,7 +38,6 @@ from repro.fpga.device import ALVEO_U280, FPGADevice
 from repro.fpga.synthesis import KernelDesign, VitisHLSBackend
 from repro.fpga.xclbin import Xclbin
 from repro.fpp.preprocessor import FPPReport, run_fpp
-from repro.ir.analysis import AnalysisManager, AnalysisStats
 from repro.ir.hashing import fingerprint_mapping, module_hash
 from repro.ir.pass_registry import PassRegistry, canonical_pipeline_spec
 from repro.ir.passes import PassContext, PassManager, PassStatistics
@@ -157,9 +156,6 @@ class StencilHMLSCompiler:
         self.cache = cache
         #: Per-pass statistics of the most recent compilation.
         self.pass_statistics: list[PassStatistics] = []
-        #: Analysis-cache hit/miss counters of the most recent middle-end
-        #: run (None when the whole middle-end came out of the cache).
-        self.analysis_statistics: AnalysisStats | None = None
 
     def default_pipeline(self) -> str:
         prefix = "canonicalize," if self.canonicalize else ""
@@ -200,7 +196,6 @@ class StencilHMLSCompiler:
     ) -> CompilationArtifacts:
         verify_module(stencil_module)
         spec = self.pass_pipeline or self.default_pipeline()
-        self.analysis_statistics = None
 
         key = self.cache_key(stencil_module, spec) if self.cache is not None else None
         middle: MiddleEndResult | None = None
@@ -339,8 +334,6 @@ class StencilHMLSCompiler:
             on_pass_end=store_prefix,
             start_index=start_index,
         )
-        analyses = context.get(AnalysisManager)
-        self.analysis_statistics = analyses.stats if analyses is not None else None
 
         lowering = context.get(LoweringContext)
         plans = dict(lowering.plans) if lowering is not None else {}

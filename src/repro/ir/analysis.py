@@ -2,15 +2,16 @@
 
 The :class:`AnalysisManager` mirrors MLIR's analysis manager in miniature:
 analyses are registered by name, computed on demand, and cached under
-``(analysis name, module_hash(module))``.  Because the PR-3 fingerprints
-are invalidated incrementally on every IR mutation, a cached analysis
-survives across passes exactly as long as the module is untouched — the
-pass manager's before/after verification collapses to one real run per
-distinct module state, and an ablation sweep re-linting an unchanged
-kernel pays nothing.
+``(analysis name, module_hash(module))``.  Because the fingerprints are
+invalidated incrementally on every IR mutation, a cached analysis stays
+valid exactly as long as the module is untouched, so ``shmls-lint`` and
+the orchestrator's ``--dry-run``, which analyse one kernel for many
+planned variants, pay for each analysis once.  The pass manager calls
+:mod:`repro.ir.verifier` directly instead: a pass's output is rarely a
+module state it has verified before, so hashing it costs more than the
+verifications it would save.
 
-Hit/miss counters are kept per analysis (:class:`AnalysisStats`) and
-surfaced by ``shmls-compile --timing``.
+Hit/miss counters are kept per analysis (:class:`AnalysisStats`).
 
 Built-in analyses
 -----------------
@@ -77,9 +78,9 @@ class AnalysisStats:
 class AnalysisManager:
     """On-demand, fingerprint-keyed cache of module analyses.
 
-    Lives in the :class:`~repro.ir.passes.PassContext` of a pipeline run,
-    so every pass (and any lint rule driven over the same context) shares
-    one cache.
+    Share one instance between everything that analyses the same modules,
+    such as the lint targets of one sweep (the orchestrator's
+    ``--dry-run`` lints every planned variant of a kernel through one).
     """
 
     _registry: ClassVar[dict[str, Callable[[Operation], Any]]] = {}

@@ -10,7 +10,7 @@ data attached to operations; types are attributes carried by SSA values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.ir.interning import InternedAttributeMeta, reconstruct_interned
@@ -499,9 +499,6 @@ class Operation(IRNode):
 
     def __hash__(self) -> int:
         return self._uid
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name} #{self._uid}>"

@@ -102,21 +102,14 @@ class HLSToLLVMPass(ModulePass):
         body = dataflow.body
         # Values defined outside the region but used inside become parameters.
         inner_ops = list(body.walk())
-        inner_results = {res for op in inner_ops for res in op.results}
-        inner_blocks = {body}
+        inside: set[Operation | Block] = {body, *inner_ops}
         for op in inner_ops:
             for region in op.regions:
-                inner_blocks.update(region.blocks)
-        captured: list[SSAValue] = []
-        for op in inner_ops:
-            for operand in op.operands:
-                if operand in inner_results:
-                    continue
-                owner = operand.owner()
-                if isinstance(owner, Block) and owner in inner_blocks:
-                    continue
-                if operand not in captured:
-                    captured.append(operand)
+                inside.update(region.blocks)
+        captured = list(dict.fromkeys(
+            operand for op in inner_ops for operand in op.operands
+            if operand.owner() not in inside
+        ))
 
         label = dataflow.label or f"stage_{self._outline_counter}"
         self._outline_counter += 1
@@ -125,12 +118,13 @@ class HLSToLLVMPass(ModulePass):
                                       attributes={"hls.dataflow_stage": UnitAttr()})
         for arg, value in zip(stage_func.entry_block.args, captured):
             arg.name_hint = value.name_hint
-        value_map = dict(zip(captured, stage_func.entry_block.args))
+            # Only the region's uses move to the argument: the call below,
+            # and other stages, keep passing the captured value itself.
+            for use in list(value.uses):
+                if use.operation in inside:
+                    use.operation.replace_operand(use.index, arg)
         for op in list(body.ops):
-            op.detach()
-            cloned = op.clone(value_map)
-            stage_func.entry_block.add_op(cloned)
-            op.drop_all_references()
+            stage_func.entry_block.add_op(op.detach())
         stage_func.entry_block.add_op(ReturnOp())
         module.add_op(stage_func)
 

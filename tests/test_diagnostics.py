@@ -1,12 +1,13 @@
 """Diagnostics engine, analysis manager and shmls-lint tests.
 
-Covers the four tentpole pieces end to end:
+Covers, end to end:
 
 * :mod:`repro.ir.diagnostics` — op-path rendering, the engine's emit /
   severity / pass-scope API and :class:`DiagnosticError`;
 * :mod:`repro.ir.analysis` — fingerprint-keyed caching with real hit/miss
-  counters, including the acceptance-criterion check that a staged
-  pipeline run produces cross-pass cache hits;
+  counters;
+* the pass manager's verification cost — one check of the input and one
+  per pass, with no module hashing;
 * :mod:`repro.tools.lint` — every rule fires on its seeded-defect corpus
   fixture and stays quiet on the paper kernels;
 * the ``--verify-diagnostics`` harness — expectation parsing, ``{{...}}``
@@ -200,33 +201,62 @@ class TestAnalysisManager:
         assert stats.summary_lines() == ["analysis verify: 1 hits, 1 misses"]
 
 
-class TestCrossPassCaching:
-    def test_staged_pipeline_has_real_cross_pass_hits(self):
-        """Acceptance criterion: the pass manager's before/after verification
-        over the staged ablation pipeline produces cache *hits* on the real
-        counters — each pass's input check reuses the previous pass's
-        output check."""
-        manager = PassRegistry.parse(STAGED_PIPELINE)
-        module = build_pw_advection((16, 16, 8))
-        manager.run(module)
-        stats = manager.context.get(AnalysisManager).stats
-        num_passes = len(manager.passes)
-        assert stats.total_hits > 0
-        # 2N logical checks (initial + each pass's input and output) ...
-        assert stats.hits["verify"] + stats.misses["verify"] == 2 * num_passes
-        # ... of which at least every input re-check after the first pass is
-        # a hit on the previous pass's output check (no-change passes make
-        # their own output check a hit too).
-        assert stats.hits["verify"] >= num_passes - 1
+class TestPipelineVerificationCost:
+    """The pass manager verifies its input once and each pass's output
+    once, with no module hashing: N passes cost N+1 verifications."""
 
-    def test_compiler_surfaces_analysis_statistics(self):
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        from repro.ir import hashing, verifier
+
+        counts = {"verify": 0, "fingerprint": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            verifier,
+            "verify_module_diagnostics",
+            counted("verify", verifier.verify_module_diagnostics),
+        )
+        monkeypatch.setattr(
+            hashing,
+            "operation_fingerprint",
+            counted("fingerprint", hashing.operation_fingerprint),
+        )
+        return counts
+
+    def test_staged_pipeline_verifies_once_per_pass_without_hashing(self, calls):
+        manager = PassRegistry.parse(STAGED_PIPELINE)
+        assert len(manager.passes) == 8
+        manager.run(build_pw_advection((16, 16, 8)))
+        assert calls == {"verify": 9, "fingerprint": 0}
+
+    @pytest.mark.parametrize("start_index", [1, 5, 8])
+    def test_resumed_run_verifies_only_the_remaining_passes(self, calls, start_index):
+        module = build_pw_advection((16, 16, 8))
+        prefix = PassRegistry.parse(STAGED_PIPELINE)
+        prefix.passes = prefix.passes[:start_index]
+        prefix.run(module)
+        calls["verify"] = 0
+
+        manager = PassRegistry.parse(STAGED_PIPELINE, context=prefix.context)
+        manager.run(module, start_index=start_index)
+        assert calls["verify"] == len(manager.passes) - start_index + 1
+        assert calls["fingerprint"] == 0
+
+    def test_uncached_compile_never_fingerprints(self, calls):
         from repro.core.pipeline import StencilHMLSCompiler
 
         compiler = StencilHMLSCompiler()
         compiler.compile(build_pw_advection(PW_ADVECTION_SIZES["8M"].shape))
-        stats = compiler.analysis_statistics
-        assert stats is not None
-        assert stats.total_hits > 0
+        # The default pipeline's three passes, plus its input.
+        assert len(compiler.pass_statistics) == 3
+        assert calls == {"verify": 4, "fingerprint": 0}
 
 
 FIXTURE_RULES = {

@@ -1,4 +1,5 @@
-"""Golden-IR tests: each stencil→HLS sub-pass locked by a FileCheck-lite file.
+"""Golden-IR tests: each stencil→HLS sub-pass and the HLS→LLVM lowering,
+locked by a FileCheck-lite file.
 
 Every ``tests/golden/*.filecheck`` file carries a header naming the kernel
 and the pipeline prefix to run::
@@ -61,6 +62,7 @@ def test_golden_directory_covers_all_six_sub_passes():
         "stencil-wave-pipelining",
         "stencil-compute-split",
         "hls-bundle-assignment",
+        "convert-hls-to-llvm",
     } <= scheduled
 
 

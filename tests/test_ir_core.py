@@ -158,6 +158,33 @@ class TestBlocksAndRegions:
         block.insert_op_before(d, a)
         assert block.ops[0] is d
 
+    def test_block_edits_act_on_the_exact_anchor(self):
+        # Block edits find their anchor with list.index / list.remove, which
+        # call __eq__ once per element they pass: operations keep object
+        # identity as equality, so those scans compare pointers in C, and
+        # structurally identical ops never stand in for one another.
+        assert Operation.__eq__ is object.__eq__
+
+        def assert_ops(block, *expected):
+            assert all(got is want for got, want in zip(block.ops, expected, strict=True))
+
+        block = Block()
+        first, second, third = (arith.ConstantOp.from_float(1.0) for _ in range(3))
+        block.add_ops([first, second, third])
+        assert block.index_of(third) == 2
+        assert block.index_of(second) == 1
+
+        before = arith.ConstantOp.from_float(1.0)
+        block.insert_op_before(before, third)
+        after = arith.ConstantOp.from_float(1.0)
+        block.insert_op_after(after, second)
+        assert_ops(block, first, second, after, before, third)
+
+        assert second.detach() is second
+        assert second.parent is None
+        assert_ops(block, first, after, before, third)
+        assert block.index_of(third) == 3
+
     def test_double_attach_rejected(self):
         block1, block2 = Block(), Block()
         op = arith.ConstantOp.from_float(1.0)
