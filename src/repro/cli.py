@@ -6,8 +6,9 @@
 * ``shmls-bench`` — regenerate the evaluation figures/tables, the equivalent
   of ``benchmarks/run_benchmarks.py`` + the plotting scripts.
 * ``shmls-orchestrate`` — plan, shard and run the scenario matrix across
-  workers with prefix-aware scheduling, streaming JSONL progress and a
-  resumability manifest (see ``docs/orchestration.md``).
+  workers, grouping each module's cases on one shard, with streaming
+  JSONL progress and a resumability manifest (see
+  ``docs/orchestration.md``).
 * ``shmls-serve`` — the compile-as-a-service front door: an asyncio HTTP
   server streaming per-case results as JSONL, answering warm requests
   straight from the cache, coalescing identical in-flight requests and

@@ -104,36 +104,6 @@ class MiddleEndResult:
         )
 
 
-@dataclass
-class PassPrefixArtifact:
-    """Middle-end snapshot after one pipeline *prefix* — the unit of the
-    per-pass artefact cache (stage ``pass-prefix``).
-
-    Stored under ``(incoming module fingerprint, canonical spec prefix,
-    options fingerprint)``, so an ablation sweep that only toggles a late
-    sub-pass resumes from the longest shared prefix instead of re-running
-    every upstream pass.  The module, the :class:`LoweringContext` and the
-    HLS snapshot reference each other's IR objects, so they are pickled
-    *together* (one cache entry) to stay consistent.
-    """
-
-    module: ModuleOp
-    lowering: "LoweringContext | None"
-    hls_module: ModuleOp | None
-    statistics: list[PassStatistics]
-    #: Fingerprint of ``module`` — the next stage's chain key, precomputed
-    #: so warm lookups never have to re-hash restored snapshots.
-    out_hash: str
-
-    def with_note(self, note: str) -> "PassPrefixArtifact":
-        """Restamp statistics without copying the snapshot (a cache hit is
-        already a private copy)."""
-        return dataclasses.replace(
-            self,
-            statistics=[dataclasses.replace(stat, note=note) for stat in self.statistics],
-        )
-
-
 class StencilHMLSCompiler:
     """Compile stencil-dialect modules into simulated FPGA bitstreams."""
 
@@ -244,8 +214,6 @@ class StencilHMLSCompiler:
         context = PassContext()
         context.set(LoweringContext(options=self.options))
         manager = PassRegistry.parse(spec, context=context)
-        passes = manager.passes
-        statistics: list[PassStatistics] = []
 
         # Snapshot the HLS-dialect module right before it is lowered to LLVM
         # dialect: it is what the functional dataflow simulator executes.  A
@@ -253,87 +221,14 @@ class StencilHMLSCompiler:
         # on a stencil module — only snapshot once kernels were lowered.
         snapshots: dict[str, ModuleOp] = {}
 
-        # Per-pass-prefix artefact cache: resume from the longest cached
-        # prefix, then store a snapshot after each freshly-executed pass so
-        # future sweeps sharing a longer prefix resume even later.
-        use_prefix = self.cache is not None and len(passes) > 1
-        start_index = 0
-        prefix_parts: list[str] = []
-        incoming_hash = ""
-        options_fp = ""
-        if use_prefix:
-            options_fp = fingerprint_mapping(dataclasses.asdict(self.options))
-            incoming_hash = module_hash(working)
-            # Walk the chain through the tiny ``pass-prefix-hash`` sidecar
-            # entries (just the out-hash strings) so no snapshot payload is
-            # unpickled along the way; only the longest prefix's artefact
-            # is then fetched — one unpickle total.
-            chain_hash = incoming_hash
-            chain_keys: list[CacheKey] = []
-            for pass_ in passes:
-                prefix_parts.append(pass_.describe())
-                key = CacheKey(chain_hash, ",".join(prefix_parts), options_fp)
-                next_hash = self.cache.get(key, "pass-prefix-hash")
-                if not isinstance(next_hash, str):
-                    break
-                chain_keys.append(key)
-                chain_hash = next_hash
-            while chain_keys:
-                # Fall back to shorter prefixes if a snapshot went missing
-                # (e.g. its store failed while the sidecar's succeeded).
-                artifact = self.cache.get(chain_keys[-1], "pass-prefix")
-                if artifact is not None:
-                    restored = artifact.with_note("prefix-cached")
-                    start_index = len(chain_keys)
-                    working = restored.module
-                    context = PassContext()
-                    if restored.lowering is not None:
-                        context.set(restored.lowering)
-                    statistics = list(restored.statistics)
-                    if restored.hls_module is not None:
-                        snapshots["hls"] = restored.hls_module
-                    incoming_hash = restored.out_hash
-                    break
-                chain_keys.pop()
-            prefix_parts = prefix_parts[:start_index]
-
         def snapshot_hls(pass_, module) -> None:
             if isinstance(pass_, HLSToLLVMPass) and "hls" not in snapshots:
                 lowering = context.get(LoweringContext)
                 if lowering is not None and lowering.plans:
                     snapshots["hls"] = module.clone()
 
-        def store_prefix(pass_, module, stat: PassStatistics) -> None:
-            nonlocal incoming_hash
-            statistics.append(stat)
-            if not use_prefix:
-                return
-            prefix_parts.append(pass_.describe())
-            if len(prefix_parts) == len(passes):
-                # The full-length "prefix" is not stored: the middle-end
-                # stage already caches the completed pipeline's result.
-                return
-            key = CacheKey(incoming_hash, ",".join(prefix_parts), options_fp)
-            out_hash = module_hash(module)
-            artifact = PassPrefixArtifact(
-                module=module,
-                lowering=context.get(LoweringContext),
-                hls_module=snapshots.get("hls"),
-                statistics=list(statistics),
-                out_hash=out_hash,
-            )
-            # The store pickles the live, still-mutating module right away.
-            self.cache.put(key, "pass-prefix", artifact)
-            self.cache.put(key, "pass-prefix-hash", out_hash)
-            incoming_hash = out_hash
-
-        manager.context = context
-        manager.run(
-            working,
-            on_pass_start=snapshot_hls,
-            on_pass_end=store_prefix,
-            start_index=start_index,
-        )
+        manager.run(working, on_pass_start=snapshot_hls)
+        statistics = list(manager.statistics)
 
         lowering = context.get(LoweringContext)
         plans = dict(lowering.plans) if lowering is not None else {}

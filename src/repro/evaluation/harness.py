@@ -79,9 +79,8 @@ KERNEL_SIZES: dict[str, dict[str, ProblemSize]] = {
 }
 
 #: The six stencil→HLS sub-passes spelled out individually.  Ablation
-#: variants toggle options on *one* sub-pass, so sweeps over this spelling
-#: share long pipeline prefixes — which the compiler's per-pass-prefix
-#: artefact cache turns into real reuse (only the toggled suffix re-runs).
+#: variants toggle options on *one* sub-pass, so each variant isolates the
+#: effect of one lowering stage.
 STAGED_PIPELINE: str = (
     "canonicalize,stencil-shape-inference,stencil-interface-lowering,"
     "stencil-small-data-buffering,stencil-wave-pipelining,"
@@ -129,8 +128,9 @@ PIPELINE_VARIANTS: dict[str, str | None] = {
     "single-bundle-staged": staged_variant("hls-bundle-assignment", bundles=0),
 }
 
-#: The variant names forming the staged ablation axis, ordered so sweeps
-#: maximise shared pipeline prefixes (same-pass toggles are adjacent).
+#: The variant names forming the staged ablation axis: the untoggled
+#: staged pipeline, then the toggles in pipeline order of the sub-pass
+#: each one lands on (same-pass toggles are adjacent).
 ABLATION_VARIANTS: tuple[str, ...] = (
     "staged",
     "ii-2",
@@ -253,9 +253,9 @@ def _run_case_payload(payload: dict[str, Any]) -> dict[str, Any]:
     cheaply.  Workers never touch the parent's ``result`` stage (the
     parent stores results, so no cross-process locking is needed), but a
     disk-backed cache directory *is* shared: its writes are atomic, so
-    pool workers reuse each other's ``pass-prefix``/``middle-end``/
-    ``synthesis`` artefacts — without this, ``jobs > 1`` would silently
-    recompile everything prefix-aware scheduling set up to share.
+    pool workers reuse each other's ``middle-end``/``synthesis``
+    artefacts — without this, ``jobs > 1`` would silently recompile what
+    another worker already built.
     """
     cache_dir = payload.get("cache_dir")
     remote_cache_dir = payload.get("remote_cache_dir")

@@ -2,29 +2,28 @@
 
 ``shmls-orchestrate`` (or ``python -m repro.evaluation.orchestrator``) is
 the driver the ROADMAP names as the unlock for multi-machine scale: it
-plans the full scenario matrix once, orders the cases for maximal
-pass-prefix-cache sharing, fans the resulting shards out through a
-pluggable :class:`ShardLauncher`, streams per-case results over a JSONL
-event channel while the shards are still running, and merges the shard
-artefacts into the usual deterministic report.
+plans the full scenario matrix once, groups the cases by module, fans the
+resulting shards out through a pluggable :class:`ShardLauncher`, streams
+per-case results over a JSONL event channel while the shards are still
+running, and merges the shard artefacts into the usual deterministic
+report.
 
 The pieces, in pipeline order:
 
 * **Planning** — :func:`plan_matrix` expands cases (pinning frameworks the
   same way :meth:`EvaluationHarness.run_matrix` does), drops cases already
   recorded in the resumability manifest, orders the remainder with
-  :func:`order_for_prefix_sharing` and cuts the ordering into contiguous
-  shards with :func:`split_shards` so ablation sweeps that share a
-  pipeline prefix land on the *same* shard (where the per-pass-prefix
-  artefact cache can actually reuse them).
+  :func:`order_by_module` and cuts the ordering into even contiguous
+  shards with :func:`split_shards`, so each module's sweep stays on as
+  few shards as the cut allows.
 * **Launching** — :class:`LocalLauncher` runs shards in-process (tests,
   single machines); :class:`SubprocessLauncher` spawns one
   ``--run-shard`` worker process per shard; :class:`RemoteLauncher` fans
   the same worker argv out over a machine list through a command
   template (``ssh {host} -- {argv}`` being the canonical instance).
   Process-based launchers capture each worker's stdout/stderr into
-  ``state_dir/shard<i>.log``.  ``--dry-run`` prints the plan (with the
-  predicted prefix-reuse depth per shard) and exits.
+  ``state_dir/shard<i>.log``.  ``--dry-run`` prints the plan, lints
+  every planned case and exits.
 * **Fault tolerance** — the fleet loop (:func:`run_fleet`, driven by
   :func:`orchestrate`) retries dead workers with backoff, kills
   stragglers that stop making manifest progress for
@@ -85,7 +84,7 @@ from repro.evaluation.harness import (
 from repro.evaluation.metrics import FrameworkResult
 from repro.evaluation.report import merge_results, results_to_json, _deterministic_entry
 from repro.fpga.device import ALVEO_U280, device_by_name
-from repro.ir.pass_registry import _split_top_level, canonical_pipeline_spec
+from repro.ir.pass_registry import canonical_pipeline_spec
 from repro.kernels.grids import ProblemSize
 
 
@@ -122,14 +121,14 @@ def case_from_dict(entry: dict[str, Any]) -> BenchmarkCase:
 
 
 # ---------------------------------------------------------------------------
-# Prefix-aware scheduling
+# Module-grouped scheduling
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _canonical_variant_spec(variant: str) -> str:
-    """Canonical spec of one named variant (memoised: planning evaluates
-    it O(case pairs) times over a handful of distinct variants)."""
+    """Canonical spec of one named variant (memoised: planning sorts many
+    cases over a handful of distinct variants)."""
     spec = PIPELINE_VARIANTS.get(variant, variant)
     if spec is None:
         from repro.core.pipeline import StencilHMLSCompiler
@@ -146,109 +145,47 @@ def case_pipeline_spec(case: BenchmarkCase) -> str | None:
     return _canonical_variant_spec(case.variant)
 
 
-def shared_prefix_depth(case_a: BenchmarkCase, case_b: BenchmarkCase) -> int:
-    """How many leading pipeline passes two cases can share through the
-    ``pass-prefix`` artefact cache when they run on the same shard.
-
-    Zero unless both cases compile the *same module* (kernel and size)
-    with Stencil-HMLS; otherwise the length of the common prefix of their
-    canonical pipeline specs, counted in passes.
-    """
-    if (case_a.kernel, case_a.size) != (case_b.kernel, case_b.size):
-        return 0
-    spec_a, spec_b = case_pipeline_spec(case_a), case_pipeline_spec(case_b)
-    if spec_a is None or spec_b is None:
-        return 0
-    # Compare rendered entries (name + effective options), not just names:
-    # interface-lowering{ii=2} and {ii=4} diverge at that pass.
-    depth = 0
-    for left, right in zip(_rendered_entries(spec_a), _rendered_entries(spec_b)):
-        if left != right:
-            break
-        depth += 1
-    return depth
-
-
-@lru_cache(maxsize=None)
-def _rendered_entries(spec: str) -> tuple[str, ...]:
-    """A canonical spec's per-pass rendered entries (the registry's
-    brace-aware splitter, memoised per distinct spec)."""
-    return tuple(_split_top_level(spec))
-
-
-def _prefix_sort_key(case: BenchmarkCase) -> tuple:
+def _module_sort_key(case: BenchmarkCase) -> tuple:
     spec = case_pipeline_spec(case)
     return (
         0 if spec is not None else 1,        # Stencil-HMLS sweeps first …
         case.kernel,
         case.size.label,                     # … grouped per module …
-        spec or "",                          # … clustered by spec prefix
+        spec or "",                          # … then by canonical spec
         case.framework or "",
         case.variant,
     )
 
 
-def order_for_prefix_sharing(cases: Sequence[BenchmarkCase]) -> list[BenchmarkCase]:
-    """Order cases so runs sharing long pipeline prefixes are adjacent.
+def order_by_module(cases: Sequence[BenchmarkCase]) -> list[BenchmarkCase]:
+    """Order cases so each module's (kernel and size) cases are adjacent.
 
-    Lexicographic ordering of canonical specs *is* the trie ordering: two
-    specs sharing a longer prefix sort closer together, so a contiguous
-    shard cut keeps ablation families (``ii-2``/``ii-4``, ``depth-*``)
-    on one worker where the ``pass-prefix`` cache can reuse their shared
-    upstream passes.  Baseline-framework cases carry no pipeline and sort
-    after the Stencil-HMLS sweeps.
+    A contiguous shard cut then spreads each module's cases over as few
+    workers as it allows, and the order does not depend on the order the
+    cases came in.
+    Within a module, cases sort by canonical pipeline spec; baseline
+    framework cases carry no pipeline and sort after the Stencil-HMLS
+    sweeps.
     """
-    return sorted(cases, key=_prefix_sort_key)
+    return sorted(cases, key=_module_sort_key)
 
 
 def split_shards(cases: Sequence[BenchmarkCase], count: int) -> list[list[BenchmarkCase]]:
-    """Cut an ordered case list into ``count`` contiguous, balanced shards,
-    greedily placing each cut where neighbouring cases share the *least*
-    pipeline prefix (so prefix families are not torn apart).
+    """Cut an ordered case list into ``count`` contiguous, even shards.
 
-    Shard sizes stay within one case of the even split; empty shards only
-    appear when there are fewer cases than shards.
+    Shard sizes differ by at most one case, larger shards first; empty
+    shards only appear when there are fewer cases than shards.
     """
     if count < 1:
         raise ValueError(f"shard count must be >= 1, got {count}")
     cases = list(cases)
-    if count == 1:
-        return [cases]
-    if len(cases) <= count:
-        return [[case] for case in cases] + [[] for _ in range(count - len(cases))]
-    affinity = [
-        shared_prefix_depth(cases[i], cases[i + 1]) for i in range(len(cases) - 1)
-    ]
     base, extra = divmod(len(cases), count)
-    # Even-split boundary targets; each may shift by at most one position
-    # towards a lower-affinity cut without unbalancing the shards.
-    boundaries: list[int] = []
-    position = 0
-    for index in range(count - 1):
-        position += base + (1 if index < extra else 0)
-        boundaries.append(position)
-    adjusted: list[int] = []
-    for index, boundary in enumerate(boundaries):
-        lower = (adjusted[-1] + 1) if adjusted else 1
-        # Leave at least one case for every remaining shard, so no shift
-        # can starve a later boundary of legal positions.
-        upper = len(cases) - (count - 1 - index)
-        candidates = [
-            b for b in (boundary - 1, boundary, boundary + 1)
-            if lower <= b <= upper
-        ]
-        # Non-empty by construction: lower <= boundary+1 (each earlier
-        # boundary shifts at most +1 off targets that are >= 1 apart),
-        # boundary <= upper, and lower <= upper — so boundary or
-        # boundary+1 always lies in [lower, upper].
-        assert candidates, (boundary, lower, upper)
-        best = min(candidates, key=lambda b: (affinity[b - 1], abs(b - boundary), b))
-        adjusted.append(best)
     shards = []
     start = 0
-    for boundary in adjusted + [len(cases)]:
-        shards.append(cases[start:boundary])
-        start = boundary
+    for index in range(count):
+        end = start + base + (1 if index < extra else 0)
+        shards.append(cases[start:end])
+        start = end
     return shards
 
 
@@ -263,14 +200,6 @@ class ShardPlan:
 
     index: int                       #: 1-based shard number
     cases: list[BenchmarkCase]
-
-    @property
-    def prefix_reuse_depth(self) -> int:
-        """Predicted pass-prefix reuse: total shared-prefix passes between
-        consecutive cases of this shard."""
-        return sum(
-            shared_prefix_depth(a, b) for a, b in zip(self.cases, self.cases[1:])
-        )
 
 
 @dataclass
@@ -294,10 +223,7 @@ class OrchestrationPlan:
             f"{len(self.resumed)} resumed from manifest"
         ]
         for shard in self.shards:
-            lines.append(
-                f"  shard {shard.index}: {len(shard.cases)} case(s), "
-                f"predicted prefix reuse {shard.prefix_reuse_depth} pass(es)"
-            )
+            lines.append(f"  shard {shard.index}: {len(shard.cases)} case(s)")
             for case in shard.cases:
                 framework = case.framework or "<all>"
                 lines.append(f"    {case.kernel}/{case.size.label}/{framework}@{case.variant}")
@@ -310,8 +236,8 @@ def lint_plan(plan: OrchestrationPlan, device_name: str = ALVEO_U280.name) -> in
     Cases are deduplicated by (kernel, size, variant) — the framework pin
     changes only the performance model, not what gets compiled — and
     share one :class:`~repro.ir.analysis.AnalysisManager`, so per-kernel
-    dataflow analyses are computed once per module fingerprint no matter
-    how many variants reuse it.  Returns 2 when any case is doomed (lint
+    dataflow analyses are computed once per module content hash no matter
+    how many variants reuse it, and each case hashes its module once.  Returns 2 when any case is doomed (lint
     errors), 1 for warnings only, 0 when the whole plan lints clean.
     """
     from repro.ir.analysis import AnalysisManager
@@ -382,8 +308,9 @@ def plan_matrix(
     kernel × size × framework × variant expansion when ``kernels`` /
     ``variants`` are given).  ``completed`` maps result-stage cache-key
     digests to manifest entries; matching cases are resumed, not planned.
-    ``order`` is ``prefix`` (prefix-aware, the default) or ``case``
-    (legacy case-major strided sharding, for comparison).
+    ``order`` is ``prefix`` (the default: grouped by module with
+    :func:`order_by_module`, cut into contiguous shards) or ``case``
+    (case-major strided sharding, in the order given).
     """
     if order not in ("prefix", "case"):
         raise ValueError(f"unknown order '{order}' (use 'prefix' or 'case')")
@@ -410,8 +337,7 @@ def plan_matrix(
             todo.append(case)
 
     if order == "prefix":
-        ordered = order_for_prefix_sharing(todo)
-        chunks = split_shards(ordered, shards)
+        chunks = split_shards(order_by_module(todo), shards)
     else:
         chunks = [todo[i::shards] for i in range(shards)]
     return OrchestrationPlan(
@@ -1093,7 +1019,7 @@ def run_fleet(
             shard_count = min(idle, len(unfinished)) if steal else 1
             delay = retry_backoff * (2 ** (flight.attempt - 1))
             for chunk in split_shards(
-                order_for_prefix_sharing(unfinished), shard_count
+                order_by_module(unfinished), shard_count
             ):
                 if not chunk:
                     continue
@@ -1298,8 +1224,8 @@ def main(argv: list[str] | None = None) -> int:
                         "{argv} is the worker command line, {host} the "
                         "assigned machine (default 'ssh {host} -- {argv}')")
     parser.add_argument("--order", choices=("prefix", "case"), default="prefix",
-                        help="case ordering: prefix-aware grouping (default) or "
-                        "legacy case-major striding")
+                        help="case ordering: grouped by module into contiguous "
+                        "shards (default) or case-major striding")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="process-pool width inside each shard (default 1)")
     parser.add_argument("--repeats", type=int, default=1,

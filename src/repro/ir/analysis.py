@@ -1,15 +1,17 @@
-"""Cached dataflow analyses keyed on module fingerprints.
+"""Cached dataflow analyses keyed on module content hashes.
 
 The :class:`AnalysisManager` mirrors MLIR's analysis manager in miniature:
 analyses are registered by name, computed on demand, and cached under
-``(analysis name, module_hash(module))``.  Because the fingerprints are
-invalidated incrementally on every IR mutation, a cached analysis stays
-valid exactly as long as the module is untouched, so ``shmls-lint`` and
-the orchestrator's ``--dry-run``, which analyse one kernel for many
-planned variants, pay for each analysis once.  The pass manager calls
-:mod:`repro.ir.verifier` directly instead: a pass's output is rarely a
-module state it has verified before, so hashing it costs more than the
-verifications it would save.
+``(analysis name, module_hash(module))``.  The key is the module's
+content, so a mutated module misses and structurally equal modules share
+entries: ``shmls-lint`` and the orchestrator's ``--dry-run``, which
+analyse one kernel for many planned variants, pay for each analysis once.
+:meth:`AnalysisManager.get` hashes the module on every call;
+:meth:`AnalysisManager.view` hashes it once for several lookups of an
+unchanged module, which is how each lint target reads its analyses.  The
+pass manager calls :mod:`repro.ir.verifier` directly instead: a pass's
+output is rarely a module state it has verified before, so hashing it
+costs more than the verifications it would save.
 
 Hit/miss counters are kept per analysis (:class:`AnalysisStats`).
 
@@ -76,7 +78,7 @@ class AnalysisStats:
 
 
 class AnalysisManager:
-    """On-demand, fingerprint-keyed cache of module analyses.
+    """On-demand, content-keyed cache of module analyses.
 
     Share one instance between everything that analyses the same modules,
     such as the lint targets of one sweep (the orchestrator's
@@ -109,13 +111,25 @@ class AnalysisManager:
     # -- lookup -----------------------------------------------------------------
 
     def get(self, name: str, module: Operation) -> Any:
-        """The ``name`` analysis of ``module``, computed or cached."""
+        """The ``name`` analysis of ``module``, computed or cached.
+
+        Hashes ``module`` on every call, so a lookup after a mutation
+        misses.
+        """
+        return self._lookup(name, module, module_hash(module))
+
+    def view(self, module: Operation) -> "ModuleAnalyses":
+        """``module``'s analyses through this manager, under one hash taken
+        now (see :class:`ModuleAnalyses`)."""
+        return ModuleAnalyses(self, module, module_hash(module))
+
+    def _lookup(self, name: str, module: Operation, digest: str) -> Any:
         fn = self._registry.get(name)
         if fn is None:
             raise KeyError(
                 f"unknown analysis '{name}' (registered: {', '.join(self.registered())})"
             )
-        key = (name, module_hash(module))
+        key = (name, digest)
         if key in self._cache:
             self._cache.move_to_end(key)
             self.stats.record_hit(name)
@@ -129,6 +143,25 @@ class AnalysisManager:
 
     def __len__(self) -> int:
         return len(self._cache)
+
+
+@dataclass(frozen=True)
+class ModuleAnalyses:
+    """One module's analyses, keyed by the hash its manager took when the
+    view was made.
+
+    Several lookups cost one hash.  The view must not outlive a mutation
+    of its module: take a new one (or call :meth:`AnalysisManager.get`)
+    after changing the IR.
+    """
+
+    manager: AnalysisManager
+    module: Operation
+    digest: str
+
+    def get(self, name: str) -> Any:
+        """The ``name`` analysis of the viewed module, computed or cached."""
+        return self.manager._lookup(name, self.module, self.digest)
 
 
 # ---------------------------------------------------------------------------

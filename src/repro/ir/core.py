@@ -218,61 +218,6 @@ class IRNode:
         raise NotImplementedError
 
 
-class _AttributeDict(dict):
-    """Operation attribute dictionary that notifies its owner on mutation.
-
-    In-place edits (``op.attributes["x"] = ...``, ``del``, ``pop``,
-    ``update``, ...) are legitimate IR mutations, so they must invalidate
-    the owner's cached structural fingerprint like every other mutation
-    point does.
-    """
-
-    __slots__ = ("_owner",)
-
-    def _touch(self) -> None:
-        owner = getattr(self, "_owner", None)  # unset while unpickling
-        if owner is not None:
-            owner.invalidate_fingerprint()
-
-    def __setitem__(self, key: Any, value: Any) -> None:
-        super().__setitem__(key, value)
-        self._touch()
-
-    def __delitem__(self, key: Any) -> None:
-        super().__delitem__(key)
-        self._touch()
-
-    def update(self, *args: Any, **kwargs: Any) -> None:
-        super().update(*args, **kwargs)
-        self._touch()
-
-    def __ior__(self, other: Any) -> "_AttributeDict":
-        result = super().__ior__(other)
-        self._touch()
-        return result
-
-    def pop(self, *args: Any) -> Any:
-        result = super().pop(*args)
-        self._touch()
-        return result
-
-    def popitem(self) -> tuple[Any, Any]:
-        result = super().popitem()
-        self._touch()
-        return result
-
-    def setdefault(self, key: Any, default: Any = None) -> Any:
-        had = key in self
-        result = super().setdefault(key, default)
-        if not had:
-            self._touch()
-        return result
-
-    def clear(self) -> None:
-        super().clear()
-        self._touch()
-
-
 _op_counter = itertools.count()
 
 
@@ -293,14 +238,11 @@ class Operation(IRNode):
         attributes: dict[str, Attribute] | None = None,
         regions: Sequence["Region"] | None = None,
     ) -> None:
-        #: Cached structural fingerprint: ``(digest, free values)`` computed
-        #: bottom-up by :mod:`repro.ir.hashing`, or ``None`` when stale.
-        self._fingerprint: "tuple[str, tuple[SSAValue, ...]] | None" = None
         self._operands: list[SSAValue] = []
         self.results: list[OpResult] = [
             OpResult(t, self, i) for i, t in enumerate(result_types)
         ]
-        self.attributes = attributes or {}
+        self.attributes: dict[str, Attribute] = dict(attributes) if attributes else {}
         self.regions: list[Region] = []
         self.parent: Block | None = None
         self._uid = next(_op_counter)
@@ -308,35 +250,6 @@ class Operation(IRNode):
             self._append_operand(operand)
         for region in regions or []:
             self.add_region(region)
-
-    # -- attributes ---------------------------------------------------------
-
-    @property
-    def attributes(self) -> dict[str, Attribute]:
-        return self._attributes
-
-    @attributes.setter
-    def attributes(self, value: dict[str, Attribute]) -> None:
-        wrapped = _AttributeDict(value)
-        wrapped._owner = self
-        self._attributes = wrapped
-        self.invalidate_fingerprint()
-
-    # -- fingerprint cache --------------------------------------------------
-
-    def invalidate_fingerprint(self) -> None:
-        """Drop this op's cached structural fingerprint and its ancestors'.
-
-        Invariant: an op with a valid cache implies every attached
-        descendant's cache is valid too (the fingerprint computation fills
-        them bottom-up), and an op with no cache implies its ancestors have
-        none either (invalidation always walks to the root) — so the walk
-        can stop early at the first already-invalid ancestor.
-        """
-        op: Operation | None = self
-        while op is not None and op._fingerprint is not None:
-            op._fingerprint = None
-            op = op.parent_op()
 
     # -- operands -----------------------------------------------------------
 
@@ -358,7 +271,6 @@ class Operation(IRNode):
         old.remove_use(Use(self, index))
         self._operands[index] = new_value
         new_value.add_use(Use(self, index))
-        self.invalidate_fingerprint()
 
     def set_operands(self, new_operands: Sequence[SSAValue]) -> None:
         for i, operand in enumerate(self._operands):
@@ -366,14 +278,12 @@ class Operation(IRNode):
         self._operands = []
         for operand in new_operands:
             self._append_operand(operand)
-        self.invalidate_fingerprint()
 
     # -- regions ------------------------------------------------------------
 
     def add_region(self, region: "Region") -> "Region":
         region.parent = self
         self.regions.append(region)
-        self.invalidate_fingerprint()
         return region
 
     @property
@@ -432,10 +342,6 @@ class Operation(IRNode):
         self.drop_all_references()
 
     def drop_all_references(self) -> None:
-        # The operand list is about to change; if this op is still attached
-        # (callers may drop references without erasing), the ancestor spine's
-        # cached fingerprints go stale too.
-        self.invalidate_fingerprint()
         for i, operand in enumerate(self._operands):
             operand.remove_use(Use(self, i))
         self._operands = []
@@ -485,7 +391,7 @@ class Operation(IRNode):
             cloned,
             operands=new_operands,
             result_types=[r.type for r in self.results],
-            attributes=dict(self.attributes),
+            attributes=self.attributes,
         )
         for old_res, new_res in zip(self.results, cloned.results):
             new_res.name_hint = old_res.name_hint
@@ -520,7 +426,6 @@ class Block(IRNode):
         arg = BlockArgument(type, self, len(self.args))
         arg.name_hint = name_hint
         self.args.append(arg)
-        self._invalidate_owner_fingerprint()
         return arg
 
     def erase_arg(self, arg: BlockArgument) -> None:
@@ -529,13 +434,6 @@ class Block(IRNode):
         self.args.remove(arg)
         for i, a in enumerate(self.args):
             a.index = i
-        self._invalidate_owner_fingerprint()
-
-    def _invalidate_owner_fingerprint(self) -> None:
-        """A structural change in this block invalidates the owning op chain."""
-        owner = self.parent_op()
-        if owner is not None:
-            owner.invalidate_fingerprint()
 
     # -- operations ---------------------------------------------------------
 
@@ -568,7 +466,6 @@ class Block(IRNode):
             raise VerifyException("operation already attached to a block")
         self._ops.insert(index, op)
         op.parent = self
-        self._invalidate_owner_fingerprint()
         return op
 
     def insert_op_before(self, op: Operation, anchor: Operation) -> Operation:
@@ -582,7 +479,6 @@ class Block(IRNode):
 
     def _remove_op(self, op: Operation) -> None:
         self._ops.remove(op)
-        self._invalidate_owner_fingerprint()
 
     def walk(self) -> Iterator[Operation]:
         for op in list(self._ops):
@@ -636,8 +532,6 @@ class Region(IRNode):
     def add_block(self, block: Block) -> Block:
         block.parent = self
         self.blocks.append(block)
-        if self.parent is not None:
-            self.parent.invalidate_fingerprint()
         return block
 
     def walk(self) -> Iterator[Operation]:

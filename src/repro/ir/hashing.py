@@ -1,4 +1,4 @@
-"""Canonical module serialization and stable, *incremental* content hashing.
+"""Canonical module serialization and stable content hashing.
 
 The compile cache (:mod:`repro.core.compile_cache`) needs a *content
 address* for IR modules: two modules that are structurally identical must
@@ -7,24 +7,21 @@ canonical form ignores SSA ``name_hint``s entirely (a print→parse
 round-trip may turn printed names back into hints) and numbers values
 purely positionally.
 
-Since the hash-consing rework, :func:`module_hash` no longer re-prints the
-whole module on every call.  Each :class:`~repro.ir.core.Operation` caches
-a structural fingerprint ``(digest, free values)`` computed bottom-up:
+:func:`module_hash` does not print the module.  It folds a structural
+fingerprint ``(digest, free values)`` bottom-up over the op tree:
 
 * the digest covers the op name, sorted attributes, operand/result types,
-  region/block structure and — for every nested child — the child's cached
+  region/block structure and — for every nested child — the child's
   digest plus the *binding* of the child's free values in this op's
   positional numbering;
 * the free-value tuple lists, in first-use order, the SSA values the
   subtree references but does not define, so sharing (``add %a, %a`` vs
   ``add %a, %b``) is distinguished at the level that knows the binding.
 
-Every mutation point in :mod:`repro.ir.core` (operand replacement,
-attribute edits, op insertion/removal, block/region surgery — including
-the rewriter's worklist edits, which all route through those methods)
-invalidates the cached fingerprints of the touched op and its ancestors
-only, so re-hashing after a local mutation re-aggregates the spine of the
-tree instead of re-printing every op.  :func:`canonical_module_text`
+Nothing is cached on the IR: every call hashes the whole subtree, so a
+hash always reflects the module as it is now, whatever mutated it.
+Callers that look one module up several times (the lint targets of a
+sweep) hash it once and reuse the digest.  :func:`canonical_module_text`
 remains available as the executable specification of the canonical form.
 """
 
@@ -59,7 +56,7 @@ def canonical_module_text(op: Operation) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Incremental structural fingerprints
+# Structural fingerprints
 # ---------------------------------------------------------------------------
 
 class _Scope:
@@ -87,7 +84,7 @@ class _Scope:
 
 def _append_block(parts: list[str], block: Block, scope: _Scope) -> None:
     """Append one block's payload: arg types, then for each child op its
-    cached digest plus the binding of the child's free values in ``scope``."""
+    digest plus the binding of the child's free values in ``scope``."""
     parts.append("^")
     for arg in block.args:
         scope.define(arg)
@@ -102,18 +99,11 @@ def _append_block(parts: list[str], block: Block, scope: _Scope) -> None:
 
 
 def operation_fingerprint(op: Operation) -> tuple[str, tuple[SSAValue, ...]]:
-    """Cached bottom-up structural fingerprint of one operation subtree.
+    """Bottom-up structural fingerprint of one operation subtree.
 
     Returns ``(digest, free_values)`` where ``free_values`` are the SSA
     values used but not defined inside the subtree, in first-use order.
-    The result is cached on the operation and reused until a mutation
-    invalidates it; a cached subtree digest stays valid when the subtree is
-    detached and re-inserted elsewhere unchanged.
     """
-    cached = op._fingerprint
-    if cached is not None:
-        return cached
-
     parts: list[str] = [op.name]
     scope = _Scope()
     for operand in op.operands:
@@ -132,14 +122,11 @@ def operation_fingerprint(op: Operation) -> tuple[str, tuple[SSAValue, ...]]:
             _append_block(parts, block, scope)
         parts.append(")")
 
-    digest = hashlib.sha256(_frame(parts)).hexdigest()
-    fingerprint = (digest, tuple(scope.free))
-    op._fingerprint = fingerprint
-    return fingerprint
+    return hashlib.sha256(_frame(parts)).hexdigest(), tuple(scope.free)
 
 
 def block_fingerprint(block: Block) -> tuple[str, tuple[SSAValue, ...]]:
-    """Structural fingerprint of one block, composed from cached op digests.
+    """Structural fingerprint of one block, composed from its op digests.
 
     Free values (used but not defined in the block) are bound by first-use
     order, exactly like :func:`operation_fingerprint` — blocks differing
@@ -167,8 +154,8 @@ def module_hash(op: Operation) -> str:
     """Stable content hash (sha256 hex) of an operation/module.
 
     Invariant under print→parse round-trips and under SSA-value renaming;
-    changes whenever any op, type or attribute changes.  Incremental: only
-    the mutated spine of the tree is re-hashed on repeated calls.
+    changes whenever any op, type or attribute changes.  Each call hashes
+    the whole subtree from scratch.
     """
     digest, free = operation_fingerprint(op)
     if not free:

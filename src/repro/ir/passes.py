@@ -153,21 +153,18 @@ class PassManager:
         self,
         module: Operation,
         on_pass_start: Callable[[ModulePass, Operation], None] | None = None,
-        on_pass_end: Callable[[ModulePass, Operation, PassStatistics], None] | None = None,
-        start_index: int = 0,
     ) -> Operation:
-        """Run the scheduled passes over ``module``.
+        """Run every scheduled pass over ``module``, in order.
 
-        ``start_index`` skips the first passes (used when a cached pipeline
-        prefix was restored); ``on_pass_end`` fires after each pass has run
-        and verified — the hook the per-pass artefact cache stores from.
+        ``on_pass_start`` fires right before each pass runs; the compiler
+        uses it to snapshot the HLS-dialect module before it is lowered to
+        LLVM dialect.
 
         With ``verify_each`` the module is verified once on entry and once
         after every pass, as in MLIR's pass manager: running N passes costs
         N+1 verifications.  Each pass's input is the state the previous
-        output check already verified, so ``on_pass_start`` and
-        ``on_pass_end`` must not mutate the module; reading, cloning,
-        hashing or pickling it is fine.
+        output check already verified, so ``on_pass_start`` must not mutate
+        the module; reading or cloning it is fine.
 
         Every pass also stamps its provenance (name, pipeline position,
         canonical spec) on the module — with ``verify_each=False`` too — so
@@ -177,8 +174,7 @@ class PassManager:
         spec = self.pipeline_description()
         if self.verify_each:
             self._verify(module)
-        for position in range(start_index, len(self.passes)):
-            pass_ = self.passes[position]
+        for position, pass_ in enumerate(self.passes):
             if on_pass_start is not None:
                 on_pass_start(pass_, module)
             pass_.ctx = self.context
@@ -189,8 +185,6 @@ class PassManager:
             self.statistics.append(PassStatistics(pass_.describe(), elapsed, bool(changed)))
             if self.verify_each:
                 self._verify(module, pass_=pass_, position=position, spec=spec)
-            if on_pass_end is not None:
-                on_pass_end(pass_, module, self.statistics[-1])
         return module
 
     def _verify(

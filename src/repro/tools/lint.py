@@ -5,10 +5,10 @@ inspects one :class:`LintTarget` (a stencil-dialect module plus the
 pipeline spec / effective options / device it is planned to compile with)
 and emits :class:`~repro.ir.diagnostics.Diagnostic` records with op-path
 locations through a shared :class:`~repro.ir.diagnostics.DiagnosticEngine`.
-Dataflow facts come from the fingerprint-keyed
+Dataflow facts come from the content-keyed
 :class:`~repro.ir.analysis.AnalysisManager`, so repeated lint runs over an
 unchanged module (e.g. one kernel under many sweep variants) are cache
-hits.
+hits; each target hashes its module once, on its first lookup.
 
 Rule catalogue (see ``docs/analysis.md`` for triggering examples):
 
@@ -31,7 +31,8 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable
+from functools import cached_property
+from typing import Any, Callable
 
 from repro.core.config import CompilerOptions, resolve_option_field, resolve_option_overrides
 from repro.dialects.builtin import ModuleOp
@@ -53,7 +54,7 @@ from repro.fpga.resource_model import (
     ResourceUsage,
     _bram_blocks,
 )
-from repro.ir.analysis import AnalysisManager
+from repro.ir.analysis import AnalysisManager, ModuleAnalyses
 from repro.ir.diagnostics import Diagnostic, DiagnosticEngine
 from repro.ir.pass_registry import PassRegistry, PipelineParseError, parse_pipeline_spec
 
@@ -72,6 +73,16 @@ class LintTarget:
     options: CompilerOptions = dataclass_field(default_factory=CompilerOptions)
     device: FPGADevice = ALVEO_U280
     analyses: AnalysisManager = dataclass_field(default_factory=AnalysisManager)
+
+    @cached_property
+    def _module_analyses(self) -> ModuleAnalyses:
+        return self.analyses.view(self.module)
+
+    def analysis(self, name: str) -> Any:
+        """The ``name`` analysis of this target's module.  The module is
+        hashed once per target, however many rules ask; rules must not
+        mutate it."""
+        return self._module_analyses.get(name)
 
 
 LintRule = Callable[[LintTarget, DiagnosticEngine], None]
@@ -136,7 +147,7 @@ def run_lint(
 @lint_rule("out-of-bounds-access")
 def _rule_out_of_bounds(target: LintTarget, engine: DiagnosticEngine) -> None:
     """Stencil access offsets must keep the store domain inside the field."""
-    bounds = target.analyses.get("access-bounds", target.module)
+    bounds = target.analysis("access-bounds")
     for record in bounds.violations:
         axes = record.out_of_bounds_axes
         engine.error(
@@ -158,7 +169,7 @@ def _rule_dead_field(target: LintTarget, engine: DiagnosticEngine) -> None:
     """Fields written but never read, and arguments never used at all."""
     from repro.dialects import stencil
 
-    def_use = target.analyses.get("def-use", target.module)
+    def_use = target.analysis("def-use")
     for result in def_use.unused_results:
         if isinstance(result.op, stencil.ApplyOp):
             engine.warning(
@@ -182,7 +193,7 @@ def _rule_small_data_budget(target: LintTarget, engine: DiagnosticEngine) -> Non
     """Small-data BRAM copies must stay within a fraction of usable BRAM."""
     if not target.options.copy_small_data_to_bram:
         return
-    analysis = target.analyses.get("stencil-kernel", target.module)
+    analysis = target.analysis("stencil-kernel")
     if analysis is None or not analysis.small_data:
         return
     blocks = sum(
@@ -285,7 +296,7 @@ def _rule_unconsumed_option(target: LintTarget, engine: DiagnosticEngine) -> Non
 @lint_rule("bundle-conflict")
 def _rule_bundle_conflict(target: LintTarget, engine: DiagnosticEngine) -> None:
     """AXI bundle assignment must fit the device's master-port budget."""
-    analysis = target.analyses.get("stencil-kernel", target.module)
+    analysis = target.analysis("stencil-kernel")
     if analysis is None:
         return
     func = _kernel_func(target.module, analysis.func_name)
@@ -316,7 +327,7 @@ def _rule_bundle_conflict(target: LintTarget, engine: DiagnosticEngine) -> None:
 @lint_rule("infeasible-config")
 def _rule_infeasible_config(target: LintTarget, engine: DiagnosticEngine) -> None:
     """A floor resource estimate of the planned configuration must fit."""
-    analysis = target.analyses.get("stencil-kernel", target.module)
+    analysis = target.analysis("stencil-kernel")
     if analysis is None or not analysis.stages:
         return
     usage = estimate_configuration_floor(analysis, target.options)
@@ -555,7 +566,7 @@ def lint_benchmark_case(
     case whose engine reports errors is doomed to fail at compile time.
 
     Passing a shared ``analyses`` manager makes repeated lints of the same
-    kernel module (one per sweep variant) hit the fingerprint cache.
+    kernel module (one per sweep variant) hit its content-keyed cache.
     """
     from repro.evaluation.harness import PIPELINE_VARIANTS
 

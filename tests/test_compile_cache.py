@@ -8,7 +8,12 @@ import pytest
 from repro.core.compile_cache import CacheKey, CompileCache, _ensure_pickle_recursion_floor
 from repro.core.config import CompilerOptions
 from repro.core.pipeline import StencilHMLSCompiler
-from repro.evaluation.harness import BenchmarkCase, EvaluationHarness
+from repro.evaluation.harness import (
+    PIPELINE_VARIANTS,
+    STAGED_PIPELINE,
+    BenchmarkCase,
+    EvaluationHarness,
+)
 from repro.ir.hashing import module_hash
 from repro.ir.pass_registry import canonical_pipeline_spec
 from repro.ir.printer import print_module
@@ -60,13 +65,10 @@ class TestCacheKey:
                 cache=cache,
             )
             results[pack] = compiler.compile(module)
-        # The variants must never share middle-end or synthesis artefacts …
+        # The variants must never share middle-end or synthesis artefacts.
         assert cache.stats.hits["middle-end"] == 0
         assert cache.stats.hits["synthesis"] == 0
         assert cache.stats.misses["middle-end"] == 2
-        # … but the prefix cache may (correctly) reuse the shared
-        # `canonicalize` stage, whose output does not depend on `pack`.
-        assert cache.stats.hits.get("pass-prefix", 0) == 1
         assert results[1].design.interfaces != results[0].design.interfaces
 
     def test_alias_spelling_shares_one_entry(self, module, tmp_path):
@@ -128,6 +130,20 @@ class TestCompilerCache:
         assert hit.summary() == baseline.summary()
         assert print_module(hit.llvm_module) == print_module(baseline.llvm_module)
 
+    def test_cache_stores_only_whole_pipeline_stages(self, module, tmp_path):
+        """Two ablation variants sharing their first six passes store one
+        middle-end and one synthesis entry each, and the second compile
+        runs its whole pipeline: nothing is stored or resumed per pass."""
+        cache = CompileCache(tmp_path)
+        StencilHMLSCompiler(pass_pipeline=STAGED_PIPELINE, cache=cache).compile(module)
+        ablated = StencilHMLSCompiler(
+            pass_pipeline=PIPELINE_VARIANTS["single-bundle-staged"], cache=cache
+        )
+        ablated.compile(module)
+        assert dict(cache.stats.stores) == {"middle-end": 2, "synthesis": 2}
+        assert len(ablated.pass_statistics) == 8
+        assert all(stat.note == "" for stat in ablated.pass_statistics)
+
     def test_middle_end_shared_across_devices(self, module):
         from repro.fpga.device import VCK5000
 
@@ -153,6 +169,31 @@ class TestCompilerCache:
             assert fresh.stats.errors > 0
             assert fresh.stats.stores["middle-end"] == 1  # recompiled
             assert rebuilt.summary() == baseline.summary()
+
+    def test_entry_naming_a_deleted_class_is_a_miss(self, module, tmp_path):
+        """Upgrade path: a middle-end entry pickled by an older tree names a
+        class that no longer exists (the notifying attribute dict ops used
+        to carry).  It is a counted miss, the compile succeeds, and the
+        recompile overwrites the entry with one that loads."""
+        stale = b"crepro.ir.core\n_AttributeDict\n)\x81."
+        compiler = StencilHMLSCompiler(cache=CompileCache(tmp_path))
+        baseline = compiler.compile(module)
+        digest = compiler.cache_key(module).digest("middle-end")
+        entry = tmp_path / digest[:2] / f"{digest}.pkl"
+        entry.write_bytes(stale)
+
+        fresh = CompileCache(tmp_path)
+        rebuilt = StencilHMLSCompiler(cache=fresh).compile(module)
+        assert fresh.stats.errors == 1
+        assert fresh.stats.misses["middle-end"] == 1
+        assert fresh.stats.stores["middle-end"] == 1
+        assert rebuilt.summary() == baseline.summary()
+
+        assert entry.read_bytes() != stale
+        again = CompileCache(tmp_path)
+        StencilHMLSCompiler(cache=again).compile(module)
+        assert again.stats.hits["middle-end"] == 1
+        assert again.stats.errors == 0
 
     def test_no_cache_means_no_stats(self, module):
         compiler = StencilHMLSCompiler()

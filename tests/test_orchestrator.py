@@ -1,4 +1,4 @@
-"""The distributed shard orchestrator: prefix-aware planning, launchers,
+"""The distributed shard orchestrator: module-grouped planning, launchers,
 streaming events, resumability manifest and merged-report determinism."""
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from repro.evaluation.orchestrator import (
     load_manifest,
     main as orchestrator_main,
     orchestrate,
-    order_for_prefix_sharing,
+    order_by_module,
     pin_cases,
     plan_matrix,
     read_events,
-    shared_prefix_depth,
     ShardHandle,
     split_shards,
     SubprocessLauncher,
@@ -58,42 +57,45 @@ class TestCaseSerialisation:
 
 
 class TestPrefixScheduling:
-    def test_shared_prefix_depth_of_ablation_family(self):
-        cases = {c.variant: c for c in _ablation_cases()}
-        # depth-8 / depth-64 toggle the 5th pass: 4 shared upstream passes.
-        assert shared_prefix_depth(cases["depth-8"], cases["depth-64"]) == 4
-        # ii-* toggles the 3rd pass: only canonicalize + shape-inference shared.
-        assert shared_prefix_depth(cases["ii-2"], cases["ii-4"]) == 2
-        # Different modules never share prefix artefacts.
-        other = BenchmarkCase(
-            "pw_advection", PW_ADVECTION_SIZES["32M"], "Stencil-HMLS", "depth-8"
-        )
-        assert shared_prefix_depth(cases["depth-8"], other) == 0
+    """``order="prefix"``: cases grouped by module, cut into even
+    contiguous shards."""
 
     def test_prefix_order_clusters_families(self):
-        ordered = order_for_prefix_sharing(_ablation_cases())
+        ordered = order_by_module(_ablation_cases())
         variants = [case.variant for case in ordered]
         # Same-pass toggles end up adjacent.
         assert abs(variants.index("depth-8") - variants.index("depth-64")) == 1
         assert abs(variants.index("ii-2") - variants.index("ii-4")) == 1
         assert abs(variants.index("width-256") - variants.index("width-1024")) == 1
 
+    def test_two_module_sweep_cuts_at_the_module_boundary(self):
+        cases = EvaluationHarness(repeats=1).cases_for(
+            ["pw_advection", "tracer_advection"], ["8M"],
+            frameworks=["Stencil-HMLS"], variants=list(ABLATION_VARIANTS),
+        )
+        for given in (cases, cases[::-1]):
+            plan = plan_matrix(given, shards=2)
+            assert [{case.kernel for case in shard.cases} for shard in plan.shards] == [
+                {"pw_advection"}, {"tracer_advection"},
+            ]
+
     def test_split_shards_partitions_exactly(self):
-        cases = order_for_prefix_sharing(_ablation_cases())
+        cases = order_by_module(_ablation_cases())
         for count in (1, 2, 3, len(cases), len(cases) + 2):
             shards = split_shards(cases, count)
             assert len(shards) == count
             flattened = [case for shard in shards for case in shard]
             assert flattened == cases  # contiguous, nothing lost or reordered
+            sizes = [len(shard) for shard in shards]
+            assert max(sizes) - min(sizes) <= 1
 
     def test_split_shards_rejects_bad_count(self):
         with pytest.raises(ValueError):
             split_shards([], 0)
 
     def test_split_shards_survives_tail_affinity_cliff(self):
-        """Regression: a low-affinity cut at the tail used to starve later
-        boundaries of candidates (min() over an empty list) when shard
-        count approached the case count."""
+        """Regression: with the shard count close to the case count, no
+        shard may be starved empty."""
         harness = EvaluationHarness(repeats=1)
         cases = harness.cases_for(
             "pw_advection", ["8M"], frameworks=["Stencil-HMLS"],
@@ -101,61 +103,30 @@ class TestPrefixScheduling:
         ) + harness.cases_for(
             "tracer_advection", ["8M"], frameworks=["Stencil-HMLS"]
         )
-        ordered = order_for_prefix_sharing(cases)
+        ordered = order_by_module(cases)
         shards = split_shards(ordered, 3)
         assert [case for shard in shards for case in shard] == ordered
         assert all(shard for shard in shards)  # no shard starved empty
 
     def test_plan_matrix_orders(self):
-        prefix_plan = plan_matrix(
-            _ablation_cases(), shards=2, order="prefix"
-        )
-        case_plan = plan_matrix(_ablation_cases(), shards=2, order="case")
+        cases = _ablation_cases()
+        prefix_plan = plan_matrix(cases, shards=2, order="prefix")
+        case_plan = plan_matrix(cases, shards=2, order="case")
         assert prefix_plan.planned_cases == case_plan.planned_cases == len(
             ABLATION_VARIANTS
         )
-        predicted_prefix = sum(s.prefix_reuse_depth for s in prefix_plan.shards)
-        predicted_case = sum(s.prefix_reuse_depth for s in case_plan.shards)
-        assert predicted_prefix > predicted_case
+        prefix_cases = [case for shard in prefix_plan.shards for case in shard.cases]
+        assert prefix_cases == order_by_module(cases)
+        assert case_plan.shards[0].cases == cases[0::2]
         with pytest.raises(ValueError):
             plan_matrix(_ablation_cases(), order="zigzag")
 
     def test_describe_names_every_case(self):
         plan = plan_matrix(_ablation_cases(), shards=2)
         text = plan.describe()
-        assert "predicted prefix reuse" in text
+        assert "shard 2: 4 case(s)" in text
         for variant in ABLATION_VARIANTS:
             assert f"@{variant}" in text
-
-
-def _prefix_cache_hits(shards: list[list[BenchmarkCase]]) -> int:
-    """Evaluate each shard with its own fresh in-memory cache; total the
-    pass-prefix stage hits (chain sidecar reads + artefact restores)."""
-    hits = 0
-    for shard in shards:
-        if not shard:
-            continue
-        cache = CompileCache()
-        harness = EvaluationHarness(repeats=1, cache=cache)
-        harness.run_matrix(cases=shard)
-        hits += cache.stats.hits.get("pass-prefix-hash", 0)
-        hits += cache.stats.hits.get("pass-prefix", 0)
-    return hits
-
-
-def test_prefix_order_beats_case_major_on_prefix_hits():
-    """The acceptance criterion: on the staged ablation axis, prefix-aware
-    ordering yields strictly more pass-prefix cache hits than legacy
-    case-major (strided) ordering, measured on the real cache counters."""
-    variants = ["staged", "ii-2", "depth-8", "depth-64"]
-    cases = EvaluationHarness(repeats=1).cases_for(
-        "pw_advection", ["8M"], frameworks=["Stencil-HMLS"], variants=variants
-    )
-    prefix_plan = plan_matrix(cases, shards=2, order="prefix")
-    case_plan = plan_matrix(cases, shards=2, order="case")
-    prefix_hits = _prefix_cache_hits([s.cases for s in prefix_plan.shards])
-    case_hits = _prefix_cache_hits([s.cases for s in case_plan.shards])
-    assert prefix_hits > case_hits
 
 
 class TestEventChannel:

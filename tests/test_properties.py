@@ -268,16 +268,16 @@ def test_module_hash_changes_under_any_mutation(expr, data):
 
 @settings(max_examples=40, deadline=None)
 @given(expr=expression_strategy(), data=st.data())
-def test_incremental_rehash_equals_cold_hash(expr, data):
-    """The cached-fingerprint fast path must agree with a cold recompute.
+def test_mutated_module_hashes_like_its_clone_and_reparse(expr, data):
+    """A module mutated in place hashes the same as a clone of it and as
+    its print→parse round-trip.
 
-    Hash once (filling every cache), mutate a random op, and compare the
-    incremental re-hash against hashing a fresh clone (whose caches start
-    empty) — the incremental path may only ever be *faster*, never
-    different.
+    Hash once, mutate a random op, and compare the re-hash against
+    hashing a fresh clone and a reparse: what the mutation left behind
+    (use lists, parents, attribute dicts) must not leak into the hash.
     """
     module = _random_stencil_module(expr)
-    module_hash(module)  # populate fingerprint caches bottom-up
+    module_hash(module)
     ops = [op for op in module.walk() if op is not module]
     op = ops[data.draw(st.integers(0, len(ops) - 1), label="op index")]
     mutation = data.draw(st.sampled_from(["add_attr", "erase", "hint"]), label="mutation")
@@ -290,10 +290,9 @@ def test_incremental_rehash_equals_cold_hash(expr, data):
     else:  # name hints must not participate in the hash at all
         for result in op.results:
             result.name_hint = "renamed"
-    incremental = module_hash(module)
-    cold = module_hash(module.clone())
-    assert incremental == cold
-    assert incremental == module_hash(parse_module(print_module(module)))
+    mutated = module_hash(module)
+    assert mutated == module_hash(module.clone())
+    assert mutated == module_hash(parse_module(print_module(module)))
 
 
 def test_module_hash_distinguishes_op_order():
