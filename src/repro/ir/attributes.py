@@ -53,7 +53,9 @@ class FloatAttr(Attribute):
         self.type = type
 
     def parameters(self) -> tuple:
-        return (self.value, self.type)
+        # Exact: ``==`` on floats would merge -0.0 into 0.0 and never find
+        # NaN, so the value enters as its hex spelling.
+        return (self.value.hex(), self.type)
 
     def __str__(self) -> str:
         return f"{self.value} : {self.type}"

@@ -350,16 +350,27 @@ class Operation(IRNode):
                 for op in list(block.ops):
                     op.drop_all_references()
 
-    def walk(self, *, reverse: bool = False) -> Iterator["Operation"]:
-        """Yield this operation and all nested operations, pre-order."""
+    def walk(self) -> Iterator["Operation"]:
+        """Yield this operation and all nested operations, pre-order.
+
+        A block's ops are listed when the walk reaches that block: an op
+        inserted into a block the walk has already listed is not visited,
+        one inserted into a block it has yet to reach is.  The walk keeps
+        one explicit stack of per-op iterators, so every op is yielded by
+        this one frame whatever its nesting depth.
+        """
         yield self
-        regions = reversed(self.regions) if reverse else self.regions
-        for region in regions:
-            blocks = reversed(region.blocks) if reverse else region.blocks
-            for block in blocks:
-                ops = reversed(list(block.ops)) if reverse else list(block.ops)
-                for op in ops:
-                    yield from op.walk(reverse=reverse)
+        if not self.regions:
+            return
+        stack = [_nested_ops(self)]
+        while stack:
+            for op in stack[-1]:
+                yield op
+                if op.regions:
+                    stack.append(_nested_ops(op))
+                    break
+            else:
+                stack.pop()
 
     def walk_type(self, op_type: type) -> Iterator["Operation"]:
         for op in self.walk():
@@ -408,6 +419,13 @@ class Operation(IRNode):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name} #{self._uid}>"
+
+
+def _nested_ops(op: Operation) -> Iterator[Operation]:
+    """The ops directly inside ``op``'s regions; each block listed lazily."""
+    return itertools.chain.from_iterable(
+        list(block._ops) for region in op.regions for block in region.blocks
+    )
 
 
 class Block(IRNode):

@@ -72,10 +72,12 @@ class InternStats:
 class AttributeInterner:
     """Uniquing table mapping structural identity to the canonical instance.
 
-    Keys are ``(class, hashable(parameters()))``; the table owns the
-    canonical instance and its key tuple.  ``intern`` is the only entry
-    point: it either returns the existing canonical instance or registers
-    the candidate (stamping its precomputed ``_hash``) and returns it.
+    Keys are ``(class, parameters())`` as the attribute returns them; only
+    parameters that are not hashable as they stand (lists, dicts) go
+    through ``Attribute._hashable`` first.  The table owns the canonical
+    instance and its key tuple.  ``intern`` is the only entry point: it
+    either returns the existing canonical instance or registers the
+    candidate (stamping its precomputed ``_hash``) and returns it.
     """
 
     __slots__ = ("_table", "stats", "_lock")
@@ -89,11 +91,13 @@ class AttributeInterner:
         self._lock = threading.Lock()
 
     def intern(self, attr: "Attribute") -> "Attribute":
-        from repro.ir.core import Attribute
-
-        key = (type(attr), Attribute._hashable(attr.parameters()))
+        key: tuple = (type(attr), attr.parameters())
         with self._lock:
-            existing = self._table.get(key)
+            try:
+                existing = self._table.get(key)
+            except TypeError:  # unhashable parameters (lists, dicts)
+                key = (type(attr), attr._hashable(key[1]))
+                existing = self._table.get(key)
             if existing is not None:
                 self.stats.hits += 1
                 return existing

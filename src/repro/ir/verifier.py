@@ -14,25 +14,18 @@ with op-path locations.  :func:`verify_module` raises a
 the first error; :func:`verify_module_diagnostics` collects *all* findings
 — the mode the cached ``verify`` analysis and ``shmls-lint`` run in.
 
-Dominance checks are linear: :class:`ModuleVerifier` precomputes one
-``op → index`` map per block instead of rescanning ``block.index_of`` for
-every operand (``cache_indices=False`` keeps the quadratic behaviour for
-the perf micro-benchmark to compare against).
+Dominance is checked in the same single walk: :class:`ModuleVerifier`
+keeps the set of values in scope at the current point (a block's
+arguments join when the walk enters the block, an op's results once the
+op is checked, and the block's values leave with the walk), so each
+operand costs one set lookup.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.ir.core import (
-    Block,
-    BlockArgument,
-    Operation,
-    OpResult,
-    Region,
-    SSAValue,
-    VerifyException,
-)
+from repro.ir.core import Block, Operation, SSAValue, VerifyException
 from repro.ir.diagnostics import Diagnostic, DiagnosticEngine, DiagnosticError
 
 
@@ -65,13 +58,12 @@ class ModuleVerifier:
         self,
         *,
         collect: bool = False,
-        cache_indices: bool = True,
         engine: DiagnosticEngine | None = None,
     ) -> None:
         self.collect = collect
-        self.cache_indices = cache_indices
         self.engine = engine if engine is not None else DiagnosticEngine()
-        self._block_indices: dict[Block, dict[Operation, int]] = {}
+        # The values in scope at the current point of the walk.
+        self._visible: set[SSAValue] = set()
 
     # -- failure reporting -----------------------------------------------------
 
@@ -80,79 +72,39 @@ class ModuleVerifier:
         if not self.collect:
             raise DiagnosticError([diag])
 
-    # -- per-block op index cache (linear dominance checks) --------------------
-
-    def _indices_of(self, block: Block) -> dict[Operation, int]:
-        mapping = self._block_indices.get(block)
-        if mapping is None:
-            mapping = {op: i for i, op in enumerate(block.ops)}
-            self._block_indices[block] = mapping
-        return mapping
-
-    def _index_in(self, block: Block, op: Operation) -> int:
-        """Position of ``op`` in ``block``, or -1 when it is not there."""
-        if self.cache_indices:
-            return self._indices_of(block).get(op, -1)
-        try:
-            return block.index_of(op)
-        except ValueError:
-            return -1
-
-    # -- dominance -------------------------------------------------------------
-
-    def _enclosing_blocks(self, op: Operation) -> list[Block]:
-        """All blocks lexically enclosing ``op`` (innermost first)."""
-        blocks: list[Block] = []
-        current: Operation | None = op
-        while current is not None and current.parent is not None:
-            blocks.append(current.parent)
-            current = current.parent_op()
-        return blocks
-
-    def _value_visible_from(self, value: SSAValue, op: Operation) -> bool:
-        """Whether ``value`` is defined in a scope enclosing ``op``."""
-        enclosing = self._enclosing_blocks(op)
-        if isinstance(value, BlockArgument):
-            return value.block in enclosing
-        if isinstance(value, OpResult):
-            defining = value.op
-            if defining.parent is None:
-                return False
-            if defining.parent not in enclosing:
-                return False
-            # Same block: the definition must come before the outermost
-            # ancestor of `op` that lives in that block (which may be `op`).
-            block = defining.parent
-            container: Operation = op
-            while container.parent is not block:
-                parent = container.parent_op()
-                if parent is None:
-                    return False
-                container = parent
-            if defining is container:
-                return False
-            defining_index = self._index_in(block, defining)
-            container_index = self._index_in(block, container)
-            if defining_index < 0 or container_index < 0:
-                return False
-            return defining_index < container_index
-        return False
-
     # -- tree walk ---------------------------------------------------------------
 
-    def verify_operation(self, op: Operation) -> None:
+    def _enter_scope_of(self, root: Operation) -> None:
+        """Make visible what ``root``'s enclosing blocks define before it."""
+        op: Operation | None = root
+        while op is not None and op.parent is not None:
+            block = op.parent
+            self._visible.update(arg for arg in block.args if arg.block is block)
+            ops = block._ops
+            if op in ops:
+                for earlier in ops[: ops.index(op)]:
+                    if earlier.parent is block:
+                        self._visible.update(earlier.results)
+            op = block.parent_op()
+
+    def _verify_operation(self, op: Operation) -> None:
         for i, result in enumerate(op.results):
             if result.op is not op or result.index != i:
                 self._fail(f"result {i} back-reference is broken", op=op)
         for region in op.regions:
             if region.parent is not op:
                 self._fail("region parent link is broken", op=op)
-            self.verify_region(region)
-        for i, operand in enumerate(op.operands):
-            if op.parent is not None and not self._value_visible_from(operand, op):
-                self._fail(
-                    f"operand {i} is not visible/dominated at its use", op=op
-                )
+            for block in region.blocks:
+                if block.parent is not region:
+                    self._fail("block parent link is broken", op=region.parent)
+                self._verify_block(block)
+        if op.parent is not None:
+            visible = self._visible
+            for i, operand in enumerate(op._operands):
+                if operand not in visible:
+                    self._fail(
+                        f"operand {i} is not visible/dominated at its use", op=op
+                    )
         try:
             op.verify_()
         except DiagnosticError as err:
@@ -162,19 +114,21 @@ class ModuleVerifier:
         except VerifyException as err:
             self._fail(str(err), op=op)
 
-    def verify_block(self, block: Block) -> None:
+    def _verify_block(self, block: Block) -> None:
+        visible = self._visible
+        # Values enter scope only through intact links: a value whose
+        # owner link is broken is visible nowhere.
+        defined: list[SSAValue] = []
         for i, arg in enumerate(block.args):
             if arg.block is not block or arg.index != i:
                 self._fail(
                     "block argument back-reference is broken", op=block.parent_op()
                 )
-        if self.cache_indices:
-            indices = self._indices_of(block)
-            ops = list(indices)
-            last_index = len(ops) - 1
-        else:
-            ops = block.ops
-            last_index = len(ops) - 1
+            if arg.block is block:
+                defined.append(arg)
+        visible.update(defined)
+        ops = block._ops
+        last_index = len(ops) - 1
         for i, op in enumerate(ops):
             if op.parent is not block:
                 self._fail("parent block link is broken", op=op)
@@ -182,21 +136,24 @@ class ModuleVerifier:
                 self._fail(
                     "terminator is not the last operation of its block", op=op
                 )
-            self.verify_operation(op)
+            self._verify_operation(op)
+            if op.parent is block:
+                results = op.results
+                visible.update(results)
+                defined.extend(results)
+        visible.difference_update(defined)
 
-    def verify_region(self, region: Region) -> None:
-        for block in region.blocks:
-            if block.parent is not region:
-                self._fail("block parent link is broken", op=region.parent)
-            self.verify_block(block)
+    def verify(self, root: Operation) -> list[Diagnostic]:
+        """Verify the tree rooted at ``root``; return collected findings.
 
-    def verify(self, module: Operation) -> list[Diagnostic]:
-        """Verify the tree rooted at ``module``; return collected findings.
-
-        A known pass provenance is attached as a note to every finding.
+        A root nested in a larger tree sees the values its enclosing blocks
+        define before it.  A known pass provenance is attached as a note to
+        every finding.
         """
-        self.verify_operation(module)
-        note = provenance_note(module)
+        self._visible = set()
+        self._enter_scope_of(root)
+        self._verify_operation(root)
+        note = provenance_note(root)
         if note is not None and self.engine.diagnostics:
             self.engine.diagnostics[:] = [
                 dataclasses.replace(diag, notes=diag.notes + (note,))
@@ -205,22 +162,10 @@ class ModuleVerifier:
         return list(self.engine.diagnostics)
 
 
-def verify_operation(op: Operation) -> None:
-    ModuleVerifier().verify_operation(op)
-
-
-def verify_block(block: Block) -> None:
-    ModuleVerifier().verify_block(block)
-
-
-def verify_region(region: Region) -> None:
-    ModuleVerifier().verify_region(region)
-
-
 def verify_module(module: Operation) -> None:
     """Verify an operation tree rooted at ``module``; raises on failure."""
     try:
-        ModuleVerifier().verify_operation(module)
+        ModuleVerifier().verify(module)
     except DiagnosticError as err:
         note = provenance_note(module)
         if note is None:

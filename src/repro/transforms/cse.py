@@ -7,12 +7,17 @@ from repro.ir.passes import ModulePass
 
 
 def _op_key(op: Operation) -> tuple:
-    """Structural identity of a pure operation within a block."""
+    """Structural identity of a pure operation within a block.
+
+    Attributes and result types enter as themselves, not as their
+    ``hash()``: hashes collide (``hash(-1) == hash(-2)``), and a collision
+    would merge ops that differ.
+    """
     return (
         op.name,
         tuple(id(operand) for operand in op.operands),
-        tuple(sorted((k, hash(v)) for k, v in op.attributes.items())),
-        tuple(hash(r.type) for r in op.results),
+        tuple(sorted(op.attributes.items())),
+        tuple(r.type for r in op.results),
     )
 
 

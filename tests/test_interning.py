@@ -4,10 +4,13 @@ follow every mutation."""
 
 from __future__ import annotations
 
+import math
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
-from repro.dialects import stencil
+from repro.dialects import arith, stencil
+from repro.dialects.builtin import ModuleOp
+from repro.dialects.func import FuncOp, ReturnOp
 from repro.dialects.hls import AxiProtocolAttr, StreamType
 from repro.ir.attributes import (
     ArrayAttr,
@@ -21,6 +24,8 @@ from repro.ir.attributes import (
 )
 from repro.ir.hashing import block_fingerprint, module_hash, region_fingerprint
 from repro.ir.interning import ATTRIBUTE_INTERNER, intern_stats
+from repro.ir.parser import parse_module
+from repro.ir.printer import print_module
 from repro.ir.types import (
     FunctionType,
     IntegerType,
@@ -83,6 +88,44 @@ class TestIdentityEquality:
             assert a == b
             assert a is b
             assert hash(a) == hash(b)
+
+
+class TestFloatIdentity:
+    """Float attributes unique on their exact value: ``==`` on floats
+    merges -0.0 into 0.0 and never finds NaN."""
+
+    def test_negative_zero_keeps_its_sign(self):
+        positive = FloatAttr(0.0)
+        negative = FloatAttr(-0.0)
+        assert negative is not positive
+        assert negative != positive
+        assert math.copysign(1.0, negative.value) == -1.0
+        assert FloatAttr(-0.0) is negative
+
+    def test_negative_zero_survives_print_and_parse(self):
+        module = ModuleOp()
+        func = FuncOp.with_body("f", [], [])
+        module.add_op(func)
+        func.entry_block.add_ops(
+            [
+                arith.ConstantOp.from_float(0.0),
+                arith.ConstantOp.from_float(-0.0),
+                ReturnOp([]),
+            ]
+        )
+        reparsed = parse_module(print_module(module))
+        signs = [
+            math.copysign(1.0, op.value)
+            for op in reparsed.walk()
+            if isinstance(op, arith.ConstantOp)
+        ]
+        assert signs == [1.0, -1.0]
+
+    def test_nan_is_one_table_entry(self):
+        first = FloatAttr(math.nan)
+        size = len(ATTRIBUTE_INTERNER)
+        assert all(FloatAttr(float("nan")) is first for _ in range(3))
+        assert len(ATTRIBUTE_INTERNER) == size
 
 
 class TestNestedEquality:

@@ -112,6 +112,31 @@ class TestOperations:
         names = [op.name for op in module.walk()]
         assert names == ["builtin.module", "func.func", "arith.constant"]
 
+    def test_walk_lists_each_block_when_it_reaches_it(self):
+        """Pre-order, and a block's ops are listed when the walk reaches
+        the block: an op inserted into a block already listed is not
+        visited, one inserted into a later block of the same op is."""
+        c = arith.ConstantOp.from_float(3.0)
+        inner = Operation(regions=[Region([Block()])])
+        inner.regions[0].block.add_op(c)
+        a = arith.ConstantOp.from_float(1.0)
+        b = arith.ConstantOp.from_float(2.0)
+        first, second = Block(), Block()
+        first.add_ops([a, inner])
+        second.add_op(b)
+        outer = Operation(regions=[Region([first, second])])
+        module = ModuleOp()
+        module.add_op(outer)
+        into_listed = arith.ConstantOp.from_float(4.0)
+        into_later = arith.ConstantOp.from_float(5.0)
+        visited = []
+        for op in module.walk():
+            visited.append(op)
+            if op is a:
+                first.insert_op(into_listed, 2)
+                second.insert_op(into_later, 0)
+        assert visited == [module, outer, a, inner, c, into_later, b]
+
     def test_walk_type(self):
         module = ModuleOp()
         func = FuncOp.with_body("f", [], [])

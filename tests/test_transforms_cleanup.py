@@ -6,7 +6,10 @@ import pytest
 from repro.dialects import arith, memref as memref_d, scf, stencil
 from repro.dialects.builtin import ModuleOp
 from repro.dialects.func import FuncOp, ReturnOp
-from repro.interp import Interpreter
+from repro.core.pipeline import StencilHMLSCompiler
+from repro.fpga.host import FPGAHost
+from repro.frontends.builder import StencilKernelBuilder
+from repro.interp import Interpreter, interpret_stencil_module
 from repro.ir.passes import PassManager
 from repro.ir.verifier import verify_module
 from repro.kernels.grids import initial_fields
@@ -22,7 +25,7 @@ from repro.transforms.canonicalize import CanonicalizePass
 from repro.transforms.cse import CSEPass
 from repro.transforms.dce import DCEPass
 from repro.transforms.stencil_to_scf import StencilToSCFPass
-from repro.ir.types import f64
+from repro.ir.types import f64, i64
 
 
 def build_scalar_func(body_builder):
@@ -96,6 +99,49 @@ class TestCSE:
         CSEPass().apply(module)
         consts = [op for op in func.entry_block.ops if isinstance(op, arith.ConstantOp)]
         assert len(consts) == 2
+
+    def test_int_constants_with_colliding_hashes_stay_apart(self):
+        """``hash(-1) == hash(-2)`` in CPython; the constants still differ."""
+        module = ModuleOp()
+        func = FuncOp.with_body("f", [], [i64])
+        module.add_op(func)
+        a = arith.ConstantOp.from_int(-1)
+        b = arith.ConstantOp.from_int(-2)
+        total = arith.AddiOp(a.result, b.result)
+        func.entry_block.add_ops([a, b, total, ReturnOp([total.result])])
+        CSEPass().apply(module)
+        values = [op.attributes["value"].value for op in func.entry_block.ops
+                  if isinstance(op, arith.ConstantOp)]
+        assert values == [-1, -2]
+        assert total.operands[0] is not total.operands[1]
+
+    def test_offsets_with_colliding_hashes_stay_apart(self):
+        """``src[-1,0,0] - src[-2,0,0]`` reads two cells: canonicalisation
+        keeps both accesses, and the Stencil-HMLS design computes what the
+        stencil interpreter computes on the module as built."""
+        shape = (10, 9, 8)
+
+        def build():
+            builder = StencilKernelBuilder("diff", shape)
+            src = builder.input_field("src")
+            builder.add_stencil(builder.output_field("out"), src[-1, 0, 0] - src[-2, 0, 0])
+            return builder.build()
+
+        module = build()
+        PassManager([CanonicalizePass()]).run(module)
+        offsets = [tuple(op.attributes["offset"]) for op in module.walk()
+                   if isinstance(op, stencil.AccessOp)]
+        assert sorted(offsets) == [(-2, 0, 0), (-1, 0, 0)]
+
+        src = np.random.default_rng(0).standard_normal(shape)
+        expected = {"src": src.copy(), "out": np.zeros(shape)}
+        interpret_stencil_module(build(), "diff", expected)
+        host = FPGAHost()
+        host.program(StencilHMLSCompiler().compile(build()))
+        arrays = {"src": src.copy(), "out": np.zeros(shape)}
+        host.run(arrays, {}, functional=True)
+        assert np.abs(expected["out"]).sum() > 0
+        assert np.allclose(arrays["out"], expected["out"])
 
     def test_preserves_semantics_on_kernel(self, small_shape):
         module = build_pw_advection(small_shape)

@@ -7,6 +7,7 @@ crashing on the inconsistent structure.
 """
 
 import pytest
+from reference_verifier import ReferenceVerifier, assert_agrees_with_reference
 
 from repro.dialects import arith
 from repro.dialects.builtin import ModuleOp
@@ -37,6 +38,7 @@ def sole_error(module):
     with pytest.raises(DiagnosticError) as err:
         verify_module(module)
     assert len(err.value.diagnostics) == 1
+    assert_agrees_with_reference(module)
     return err.value.diagnostics[0]
 
 
@@ -109,6 +111,27 @@ class TestDominance:
         diag = sole_error(module)
         assert "not visible/dominated" in diag.message
 
+    def test_op_uses_its_own_result(self):
+        module, func, c, mul = make_module()
+        mul.replace_operand(0, mul.result)
+        diag = sole_error(module)
+        assert "operand 0 is not visible/dominated" in diag.message
+        assert "arith.mulf" in diag.path
+
+    def test_nested_use_of_the_enclosing_op_result(self):
+        """An op's results come into scope after the op, so its own
+        regions cannot use them."""
+        module = ModuleOp()
+        func = FuncOp.with_body("f", [], [])
+        module.add_op(func)
+        inner = Block()
+        container = Operation(result_types=[f64], regions=[Region([inner])])
+        inner.add_op(arith.NegfOp(container.results[0]))
+        func.entry_block.add_ops([container, ReturnOp([])])
+        diag = sole_error(module)
+        assert "not visible/dominated" in diag.message
+        assert "arith.negf" in diag.path
+
     def test_cross_function_use_rejected(self):
         module = ModuleOp()
         f = FuncOp.with_body("f", [], [])
@@ -170,13 +193,20 @@ class TestCollectMode:
         with pytest.raises(DiagnosticError) as err:
             verify_module(module)
         assert len(err.value.diagnostics) == 1
+        assert_agrees_with_reference(module)
 
-    def test_legacy_index_mode_agrees(self):
+    def test_reference_verifier_agrees(self):
+        """The one-walk verifier reports what the link-climbing reference
+        reports, under either of the reference's index strategies."""
         module, func, c, mul = make_module()
         func.entry_block.add_op(arith.ConstantOp.from_float(0.0))
-        cached = ModuleVerifier(collect=True, cache_indices=True).verify(module)
-        legacy = ModuleVerifier(collect=True, cache_indices=False).verify(module)
-        assert [d.message for d in cached] == [d.message for d in legacy]
+        one_walk = ModuleVerifier(collect=True).verify(module)
+        cached = ReferenceVerifier(collect=True, cache_indices=True).verify(module)
+        legacy = ReferenceVerifier(collect=True, cache_indices=False).verify(module)
+        assert one_walk == cached == legacy
+        assert [d.message for d in one_walk] == [
+            "terminator is not the last operation of its block"
+        ]
 
 
 class _BreakIR(ModulePass):
@@ -221,6 +251,7 @@ class TestPassProvenance:
             "module last transformed by pass 'break-ir' "
             "(position 1 in pipeline 'identity,break-ir')" in notes
         )
+        assert_agrees_with_reference(module)
 
     def test_collected_diagnostics_carry_provenance_too(self):
         module, *_ = make_module()
