@@ -23,7 +23,8 @@ import numpy as np
 from repro.core.plan import DataflowPlan
 from repro.dialects import hls, llvm as llvm_d
 from repro.dialects.builtin import ModuleOp
-from repro.interp.interpreter import Interpreter, InterpreterError
+from repro.interp.interpreter import Interpreter, InterpreterError, Step
+from repro.ir.core import Operation, SSAValue
 from repro.fpga.synthesis import KernelDesign
 from repro.runtime.data_movers import make_externals
 from repro.runtime.streams import FIFOStream
@@ -47,12 +48,18 @@ class HLSInterpreter(Interpreter):
                 hls.ArrayPartitionOp: HLSInterpreter._directive,
                 hls.InterfaceOp: HLSInterpreter._directive,
                 hls.DataflowOp: HLSInterpreter._dataflow,
-                llvm_d.ExtractValueOp: HLSInterpreter._extract_value,
                 llvm_d.InsertValueOp: HLSInterpreter._insert_value,
                 llvm_d.UndefOp: HLSInterpreter._undef,
                 llvm_d.ConstantOp: HLSInterpreter._llvm_constant,
             }
         )
+
+    def _decode_op(self, op: Operation) -> Step:
+        # An extractvalue's container and position are constants of the op:
+        # read them once per run rather than once per point.
+        if isinstance(op, llvm_d.ExtractValueOp):
+            return HLSInterpreter._extract_value, (op.operands[0], op.position), op.results
+        return super()._decode_op(op)
 
     # -- HLS handlers ----------------------------------------------------------
 
@@ -88,10 +95,10 @@ class HLSInterpreter(Interpreter):
 
     # -- llvm aggregate handlers ---------------------------------------------------
 
-    def _extract_value(self, op: llvm_d.ExtractValueOp, env) -> list[Any]:
-        container = env[op.operands[0]]
-        value = container
-        for index in op.position:
+    def _extract_value(self, decoded: tuple[SSAValue, tuple[int, ...]], env) -> list[Any]:
+        container, position = decoded
+        value = env[container]
+        for index in position:
             value = value[index]
         return [float(value)]
 

@@ -51,8 +51,26 @@ class TempValue:
         return self.array[local]
 
 
+#: The ops that end a block's execution and hand back their operands.
+_TERMINATORS = (ReturnOp, scf.YieldOp, stencil.ReturnOp)
+
+#: One decoded op: its handler, what the handler reads (the op itself unless
+#: ``_decode_op`` read the op's constants in advance) and the op's results.
+Step = tuple[Callable, Any, Sequence[SSAValue]]
+
+#: A decoded block: the steps up to its terminator and the terminator's
+#: operands (``None`` for a block without one).
+DecodedBlock = tuple[list[Step], tuple[SSAValue, ...] | None]
+
+
 class Interpreter:
-    """Executes functions in a module on concrete numpy / scalar arguments."""
+    """Executes functions in a module on concrete numpy / scalar arguments.
+
+    Each block is decoded once per :meth:`run`, on first entry, into the
+    steps up to its terminator; executing the block then walks the steps.
+    The decoded blocks are dropped when the run ends, so a module mutated
+    between runs executes as it then stands.
+    """
 
     def __init__(self, module: ModuleOp, externals: dict[str, Callable] | None = None) -> None:
         self.module = module
@@ -60,6 +78,7 @@ class Interpreter:
         # Per-instance handler table so specialised interpreters (e.g. the HLS
         # functional simulator) can register handlers for additional dialects.
         self.handlers: dict[type, Callable] = dict(_HANDLERS)
+        self._decoded: dict[Block, DecodedBlock] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -67,7 +86,11 @@ class Interpreter:
         func = self.module.get_symbol(func_name)
         if not isinstance(func, FuncOp):
             raise InterpreterError(f"no function named '{func_name}' in module")
-        return self._run_func(func, list(args))
+        self._decoded = {}
+        try:
+            return self._run_func(func, list(args))
+        finally:
+            self._decoded = {}
 
     # -- function / block execution -------------------------------------------
 
@@ -90,28 +113,46 @@ class Interpreter:
         return self._run_block(entry, env)
 
     def _run_block(self, block: Block, env: dict[SSAValue, Any]) -> list[Any]:
-        for op in block.ops:
-            if isinstance(op, (ReturnOp, scf.YieldOp, stencil.ReturnOp)):
-                return [env[o] for o in op.operands]
-            self._execute(op, env)
-        return []
+        decoded = self._decoded.get(block)
+        if decoded is None:
+            decoded = self._decoded[block] = self._decode(block)
+        steps, terminator = decoded
+        for handler, arg, results in steps:
+            values = handler(self, arg, env)
+            if values:
+                for res, value in zip(results, values):
+                    env[res] = value
+        return [env[o] for o in terminator] if terminator is not None else []
 
     # -- op dispatch ------------------------------------------------------------
 
-    def _execute(self, op: Operation, env: dict[SSAValue, Any]) -> None:
+    def _decode(self, block: Block) -> DecodedBlock:
+        """The block's steps up to its first terminator, and that terminator's
+        operands; ops after the terminator are never decoded or run."""
+        steps: list[Step] = []
+        for op in block.ops:
+            if isinstance(op, _TERMINATORS):
+                return steps, op.operands
+            steps.append(self._decode_op(op))
+        return steps, None
+
+    def _decode_op(self, op: Operation) -> Step:
         handler = self.handlers.get(type(op))
         if handler is None:
             for klass, fn in self.handlers.items():
                 if isinstance(op, klass):
                     handler = fn
                     break
-        if handler is None:
-            raise InterpreterError(f"no interpreter handler for '{op.name}'")
-        results = handler(self, op, env)
-        if results is None:
-            results = []
-        for res, value in zip(op.results, results):
-            env[res] = value
+            else:
+                handler = _no_handler
+        return handler, op, op.results
+
+    def _execute(self, op: Operation, env: dict[SSAValue, Any]) -> None:
+        handler, arg, results = self._decode_op(op)
+        values = handler(self, arg, env)
+        if values:
+            for res, value in zip(results, values):
+                env[res] = value
 
     # -- handlers ---------------------------------------------------------------
 
@@ -197,12 +238,17 @@ class Interpreter:
         ub = int(env[op.upper_bound])
         step = int(env[op.step])
         carried = [env[a] for a in op.iter_args]
+        body, induction_variable, body_args = op.body, op.induction_variable, op.body_iter_args
+        # One copy per loop keeps the body's values out of ``env``.  Sharing
+        # it between iterations changes nothing: by dominance an iteration
+        # reads only values it defined itself, the induction variable and
+        # the iteration arguments, and those are rebound first.
+        local = dict(env)
         for iv in range(lb, ub, step):
-            local = dict(env)
-            local[op.induction_variable] = iv
-            for arg, value in zip(op.body_iter_args, carried):
+            local[induction_variable] = iv
+            for arg, value in zip(body_args, carried):
                 local[arg] = value
-            carried = self._run_block(op.body, local)
+            carried = self._run_block(body, local)
         return carried
 
     def _if(self, op: scf.IfOp, env) -> list[Any]:
@@ -383,6 +429,10 @@ class _LazyApply:
             point_ub = tuple(t + 1 for t in target)
             return source.materialise(target, point_ub).at(target)
         raise InterpreterError(f"cannot access into value of type {type(source).__name__}")
+
+
+def _no_handler(interp: Interpreter, op: Operation, env: dict[SSAValue, Any]) -> list[Any]:
+    raise InterpreterError(f"no interpreter handler for '{op.name}'")
 
 
 def _box_points(lb: Sequence[int], ub: Sequence[int]):

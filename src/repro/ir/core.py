@@ -9,6 +9,7 @@ data attached to operations; types are attributes carried by SSA values.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
@@ -113,6 +114,14 @@ class Pure(OpTrait):
 
 class HasCanonicalizer(OpTrait):
     """The operation provides folding rules used by canonicalisation."""
+
+
+@functools.cache
+def _class_has_trait(cls: type, trait: type) -> bool:
+    # Op classes never reassign ``traits``, so one answer per class and
+    # trait serves every later ``is_terminator`` / ``is_pure`` query.
+    return any(issubclass(t, trait) if isinstance(t, type) else isinstance(t, trait)
+               for t in cls.traits)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +303,7 @@ class Operation(IRNode):
 
     @classmethod
     def has_trait(cls, trait: type) -> bool:
-        return any(issubclass(t, trait) if isinstance(t, type) else isinstance(t, trait)
-                   for t in cls.traits)
+        return _class_has_trait(cls, trait)
 
     @property
     def is_terminator(self) -> bool:

@@ -75,8 +75,12 @@ class FIFOStream:
         return items
 
     def extend(self, values: Iterable[Any]) -> None:
-        for value in values:
-            self.write(value)
+        """Write each of ``values`` in order (the statistics match that many
+        :meth:`write` calls)."""
+        before = len(self._queue)
+        self._queue.extend(values)
+        self._total_pushed += len(self._queue) - before
+        self.high_water_mark = max(self.high_water_mark, len(self._queue))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FIFOStream {self.name} depth={self.depth} queued={len(self._queue)}>"

@@ -14,7 +14,11 @@ from typing import Sequence
 
 
 def window_offsets(rank: int, radius: int) -> list[tuple[int, ...]]:
-    """All relative offsets of the window, in canonical (row-major) order."""
+    """All relative offsets of the window, in canonical (row-major) order.
+
+    >>> window_offsets(2, 1)[:4]
+    [(-1, -1), (-1, 0), (-1, 1), (0, -1)]
+    """
     if rank <= 0:
         return [()]
     offsets: list[tuple[int, ...]] = [()]
@@ -37,7 +41,12 @@ def window_strides(rank: int, radius: int) -> tuple[int, ...]:
 
 
 def window_index(offset: Sequence[int], radius: int) -> int:
-    """Lane index of ``offset`` within the canonical window ordering."""
+    """Lane index of ``offset`` within the canonical window ordering.
+
+    >>> offset = window_offsets(2, 1)[4]
+    >>> offset, window_index(offset, 1)
+    ((0, 0), 4)
+    """
     rank = len(offset)
     strides = window_strides(rank, radius)
     index = 0

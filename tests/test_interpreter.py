@@ -7,6 +7,7 @@ from repro.dialects import arith, math as math_d, memref as memref_d, scf, stenc
 from repro.dialects.builtin import ModuleOp
 from repro.dialects.func import CallOp, FuncOp, ReturnOp
 from repro.interp import Interpreter, InterpreterError, interpret_stencil_module
+from repro.ir.core import Operation
 from repro.ir.types import MemRefType, f64, index
 
 
@@ -128,6 +129,98 @@ class TestControlFlow:
         data = np.zeros((3, 2))
         Interpreter(module).run("fill", data)
         assert np.all(data == 7.0)
+
+
+class _UnhandledOp(Operation):
+    name = "test.unhandled"
+
+
+class _ProbeOp(Operation):
+    name = "test.probe"
+
+
+def _sum_n(*after_loop: Operation) -> tuple[FuncOp, scf.ForOp]:
+    """``sum_n(n)`` adds 1.0 ``n`` times in an ``scf.for``; ``after_loop``
+    ops go between the loop and the return."""
+    func = FuncOp.with_body("sum_n", [index], [f64])
+    (n,) = func.args
+    zero = arith.ConstantOp.from_index(0)
+    one = arith.ConstantOp.from_index(1)
+    init = arith.ConstantOp.from_float(0.0)
+    loop = scf.ForOp(zero.result, n, one.result, [init.result])
+    one_f = arith.ConstantOp.from_float(1.0)
+    add = arith.AddfOp(loop.body_iter_args[0], one_f.result)
+    loop.body.add_ops([one_f, add, scf.YieldOp([add.result])])
+    func.entry_block.add_ops([zero, one, init, loop, *after_loop, ReturnOp([loop.results[0]])])
+    return func, loop
+
+
+class TestDecodedBlocks:
+    """Blocks are decoded once per run; execution must still read as a walk
+    over each block's ops in order."""
+
+    def test_unhandled_op_after_the_terminator_is_never_reported(self):
+        func = FuncOp.with_body("f", [f64], [f64])
+        func.entry_block.add_ops([ReturnOp([func.args[0]]), _UnhandledOp()])
+        assert Interpreter(module_with(func)).run("f", 2.0) == [2.0]
+
+    def test_unhandled_op_is_reported_when_reached_after_the_ops_before_it(self):
+        func = FuncOp.with_body("f", [MemRefType([2], f64)], [])
+        (buf,) = func.args
+        zero = arith.ConstantOp.from_index(0)
+        value = arith.ConstantOp.from_float(5.0)
+        store = memref_d.StoreOp(value.result, buf, [zero.result])
+        func.entry_block.add_ops([zero, value, store, _UnhandledOp(), ReturnOp([])])
+        data = np.zeros(2)
+        with pytest.raises(InterpreterError, match="test.unhandled"):
+            Interpreter(module_with(func)).run("f", data)
+        assert data[0] == 5.0
+
+    def test_unhandled_op_in_a_loop_body_is_reported_only_if_the_loop_runs(self):
+        func = FuncOp.with_body("f", [index, MemRefType([4], f64)], [])
+        n, buf = func.args
+        zero = arith.ConstantOp.from_index(0)
+        one = arith.ConstantOp.from_index(1)
+        loop = scf.ForOp(zero.result, n, one.result)
+        value = arith.ConstantOp.from_float(3.0)
+        store = memref_d.StoreOp(value.result, buf, [loop.induction_variable])
+        loop.body.add_ops([value, store, _UnhandledOp(), scf.YieldOp()])
+        func.entry_block.add_ops([zero, one, loop, ReturnOp([])])
+        module = module_with(func)
+        data = np.zeros(4)
+        assert Interpreter(module).run("f", 0, data) == []
+        with pytest.raises(InterpreterError, match="test.unhandled"):
+            Interpreter(module).run("f", 4, data)
+        assert data.tolist() == [3.0, 0.0, 0.0, 0.0]   # stopped in the first iteration
+
+    def test_loop_body_values_are_not_visible_after_the_loop(self):
+        func, loop = _sum_n(_ProbeOp())
+        one_f, add, _ = loop.body.ops
+        interp = Interpreter(module_with(func))
+        seen = []
+        interp.handlers[_ProbeOp] = lambda _interp, _op, env: seen.append(set(env))
+        assert interp.run("sum_n", 3) == [3.0]
+        (visible,) = seen
+        assert loop.results[0] in visible and func.args[0] in visible
+        body_values = {one_f.result, add.result, loop.induction_variable, *loop.body_iter_args}
+        assert not visible & body_values
+
+    def test_run_after_mutating_the_module_executes_the_new_ir(self):
+        func, loop = _sum_n()
+        one_f = loop.body.ops[0]
+        interp = Interpreter(module_with(func))
+        assert interp.run("sum_n", 5) == [5.0]
+
+        two_f = arith.ConstantOp.from_float(2.0)       # in the loop body
+        loop.body.insert_op_before(two_f, one_f)
+        one_f.result.replace_all_uses_with(two_f.result)
+        one_f.erase()
+        assert interp.run("sum_n", 5) == [10.0]
+
+        neg = arith.NegfOp(loop.results[0])            # in the function's block
+        func.entry_block.insert_op_after(neg, loop)
+        func.entry_block.ops[-1].replace_operand(0, neg.result)
+        assert interp.run("sum_n", 5) == [-10.0]
 
 
 class TestMemrefOps:

@@ -1,12 +1,36 @@
 """Unit tests for the SSA IR core: values, operations, blocks, regions."""
 
+import importlib
+import pkgutil
+
 import pytest
 
-from repro.dialects import arith
+import repro.dialects
+from repro.dialects import arith, scf, stencil
 from repro.dialects.builtin import ModuleOp
 from repro.dialects.func import FuncOp, ReturnOp
-from repro.ir.core import Block, Operation, Region, VerifyException
+from repro.ir.core import (
+    Block,
+    HasCanonicalizer,
+    IsTerminator,
+    Operation,
+    OpTrait,
+    Pure,
+    Region,
+    VerifyException,
+)
 from repro.ir.types import f64, i64
+
+DIALECT_MODULES = [
+    f"repro.dialects.{info.name}" for info in pkgutil.iter_modules(repro.dialects.__path__)
+]
+
+
+def _op_subclasses(cls):
+    found = set()
+    for sub in cls.__subclasses__():
+        found |= {sub} | _op_subclasses(sub)
+    return found
 
 
 def make_add():
@@ -168,6 +192,29 @@ class TestOperations:
                             arith.ConstantOp.from_float(1.0).result).is_pure
         assert ReturnOp([]).is_terminator
         assert not ReturnOp([]).is_pure
+
+    def test_cached_trait_answers_match_the_traits_of_every_op_class(self):
+        for module in DIALECT_MODULES:
+            importlib.import_module(module)
+        classes = _op_subclasses(Operation)
+        assert {arith.AddfOp, ReturnOp, scf.ForOp, stencil.ApplyOp} <= classes
+        for cls in classes:
+            for trait in (OpTrait, IsTerminator, Pure, HasCanonicalizer):
+                expected = any(
+                    issubclass(t, trait) if isinstance(t, type) else isinstance(t, trait)
+                    for t in cls.traits
+                )
+                assert cls.has_trait(trait) is expected, (cls.__name__, trait.__name__)
+                assert cls.has_trait(trait) is expected  # and again, from the cache
+
+    def test_trait_given_as_an_instance(self):
+        class MarkedOp(Operation):
+            name = "test.marked"
+            traits = frozenset([Pure()])
+
+        op = MarkedOp()
+        assert op.is_pure and MarkedOp.has_trait(OpTrait)
+        assert not op.is_terminator
 
 
 class TestBlocksAndRegions:
