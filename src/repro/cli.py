@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.compile_cache import CompileCache
+from repro.core.compile_cache import add_cache_arguments, cache_from_args
 from repro.core.config import CompilerOptions
 from repro.core.pipeline import StencilHMLSCompiler
 from repro.ir.pass_registry import PipelineParseError
@@ -57,21 +57,12 @@ def main_compile(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--timing", action="store_true",
                         help="print per-pass statistics (and cache hit/miss counts)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="content-addressed compile cache directory")
-    parser.add_argument("--remote-cache-dir", default=None, metavar="DIR",
-                        help="shared network cache tier behind --cache-dir "
-                        "(an NFS/sshfs-mounted path): read-through on miss, "
-                        "written back on store")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore --cache-dir and recompile from scratch")
-    parser.add_argument("--cache-max-bytes", type=int, default=None, metavar="BYTES",
-                        help="evict least-recently-used cache entries down to this "
-                        "on-disk budget after compiling")
+    add_cache_arguments(parser)
     parser.add_argument("--print-hls", action="store_true", help="print the HLS-dialect IR")
     parser.add_argument("--print-llvm", action="store_true", help="print the annotated LLVM-dialect IR")
     parser.add_argument("--metadata", default=None, help="write xclbin metadata JSON to this path")
     args = parser.parse_args(argv)
+    cache = cache_from_args(parser, args)
 
     builder, sizes = _KERNELS[args.kernel]
     if args.size not in sizes:
@@ -84,12 +75,6 @@ def main_compile(argv: list[str] | None = None) -> int:
         separate_bundles=not args.single_bundle,
     )
     device = device_by_name(args.device)
-    cache = None
-    if (args.cache_dir or args.remote_cache_dir) and not args.no_cache:
-        cache = CompileCache(args.cache_dir, remote_dir=args.remote_cache_dir)
-    if args.cache_max_bytes is not None and (cache is None or cache.cache_dir is None):
-        parser.error("--cache-max-bytes needs an active local cache "
-                     "(--cache-dir without --no-cache)")
     compiler = StencilHMLSCompiler(options, device, pass_pipeline=args.pass_pipeline, cache=cache)
     module = builder(shape)
     try:
@@ -106,8 +91,8 @@ def main_compile(argv: list[str] | None = None) -> int:
     print(f"compiled {args.kernel} @ {args.size} for {device.name}")
     for key, value in xclbin.summary().items():
         print(f"  {key:<16}: {value}")
-    if cache is not None and args.cache_max_bytes is not None:
-        cache.gc(args.cache_max_bytes)
+    if cache is not None:
+        cache.trim()
     if args.timing:
         print("per-pass statistics:")
         for stat in compiler.pass_statistics:

@@ -30,10 +30,14 @@ Every entry is one pickle blob (``.pkl`` on disk).  A store pickles the
 value once and every tier keeps those bytes, the memory tier included;
 every hit unpickles a private copy, so callers may mutate what they
 stored or got back without cloning it first.
+
+The CLIs share one flag group (:func:`add_cache_arguments`) and one rule
+for what the flags mean (:meth:`CompileCache.from_settings`).
 """
 
 from __future__ import annotations
 
+import argparse
 import gc
 import os
 import pickle
@@ -43,7 +47,7 @@ import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 #: Pickling an IR module recurses through its use-def web, whose depth grows
 #: with program length; the default interpreter limit (1000) is too small for
@@ -231,9 +235,12 @@ class CompileCache:
         cache_dir: str | Path | None = None,
         *,
         remote_dir: str | Path | None = None,
+        max_bytes: int | None = None,
     ) -> None:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.remote_dir = Path(remote_dir) if remote_dir is not None else None
+        #: On-disk budget :meth:`trim` evicts down to (``None``: unbounded).
+        self.max_bytes = max_bytes
         #: Pickled entries by digest: the same bytes the disk tiers hold.
         self._memory: dict[str, bytes] = {}
         #: Incremental on-disk footprint; ``None`` until the first
@@ -246,6 +253,42 @@ class CompileCache:
         #: lock.  Disk/remote tiers were already multi-process safe.
         self._lock = threading.RLock()
         self.stats = CacheStats()
+
+    # -- settings -------------------------------------------------------------
+
+    @classmethod
+    def from_settings(cls, settings: Mapping[str, Any] | None) -> CompileCache | None:
+        """The cache a parsed namespace's ``vars()`` or a :meth:`settings`
+        dict asks for: no directory gives ``None``; a byte budget needs
+        ``cache_dir`` and must be >= 0.
+
+        >>> CompileCache.from_settings({}) is None
+        True
+        >>> CompileCache.from_settings({"cache_max_bytes": 0})
+        Traceback (most recent call last):
+            ...
+        ValueError: --cache-max-bytes needs --cache-dir
+        """
+        settings = settings or {}
+        cache_dir = settings.get("cache_dir")
+        remote_dir = settings.get("remote_cache_dir")
+        max_bytes = settings.get("cache_max_bytes")
+        if max_bytes is not None:
+            if not cache_dir:
+                raise ValueError("--cache-max-bytes needs --cache-dir")
+            if max_bytes < 0:
+                raise ValueError(f"--cache-max-bytes must be >= 0, got {max_bytes}")
+        if not (cache_dir or remote_dir):
+            return None
+        return cls(cache_dir or None, remote_dir=remote_dir or None, max_bytes=max_bytes)
+
+    def settings(self) -> dict[str, Any]:
+        """This cache as a JSON-safe :meth:`from_settings` dict."""
+        return {
+            "cache_dir": str(self.cache_dir) if self.cache_dir is not None else None,
+            "remote_cache_dir": str(self.remote_dir) if self.remote_dir is not None else None,
+            "cache_max_bytes": self.max_bytes,
+        }
 
     # -- paths ----------------------------------------------------------------
 
@@ -498,6 +541,10 @@ class CompileCache:
         with self._lock:
             return self._gc_locked(max_bytes)
 
+    def trim(self) -> int:
+        """Evict down to the ``max_bytes`` budget (a no-op without one)."""
+        return self.gc(self.max_bytes) if self.max_bytes is not None else 0
+
     def _gc_locked(self, max_bytes: int) -> int:
         entries = self._disk_entries()
         total = sum(size for _, size, _ in entries)
@@ -527,3 +574,35 @@ class CompileCache:
 
     def __len__(self) -> int:
         return len(self._memory)
+
+
+# -- the shared CLI flags -------------------------------------------------------
+
+
+def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare ``--cache-dir``, ``--remote-cache-dir`` and
+    ``--cache-max-bytes``: the compile-cache flags every CLI shares."""
+    group = parser.add_argument_group("compile cache")
+    group.add_argument("--cache-dir", default=None, metavar="DIR",
+                       help="content-addressed compile cache directory, "
+                       "shared across runs and processes")
+    group.add_argument("--remote-cache-dir", default=None, metavar="DIR",
+                       help="shared network cache tier behind --cache-dir "
+                       "(an NFS/sshfs-mounted path): read-through on miss, "
+                       "written back on store")
+    group.add_argument("--cache-max-bytes", type=int, default=None, metavar="BYTES",
+                       help="evict least-recently-used --cache-dir entries "
+                       "down to this on-disk budget when the run ends "
+                       "(shmls-orchestrate: after each shard; shmls-serve: "
+                       "on shutdown)")
+
+
+def cache_from_args(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> CompileCache | None:
+    """The cache the parsed flags ask for; flags that
+    :meth:`CompileCache.from_settings` rejects are a usage error (exit 2)."""
+    try:
+        return CompileCache.from_settings(vars(args))
+    except ValueError as err:
+        parser.error(str(err))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import statistics
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Sequence, Type
 
 from repro.baselines import (
@@ -66,6 +66,33 @@ class BenchmarkCase:
         if self.variant != "default":
             label += f"@{self.variant}"
         return label
+
+
+def case_to_dict(case: BenchmarkCase) -> dict[str, Any]:
+    """A :class:`BenchmarkCase` as a JSON-safe dict (label *and* shape, so
+    custom problem sizes survive the round-trip): the one form cases take
+    in shard specs, process-pool payloads and manifest records."""
+    return {
+        "kernel": case.kernel,
+        "size": case.size.label,
+        "shape": list(case.size.shape),
+        "framework": case.framework,
+        "variant": case.variant,
+    }
+
+
+def case_from_dict(entry: dict[str, Any]) -> BenchmarkCase:
+    """Inverse of :func:`case_to_dict`.
+
+    >>> case_from_dict(case_to_dict(DEFAULT_CASES[0])) == DEFAULT_CASES[0]
+    True
+    """
+    return BenchmarkCase(
+        kernel=entry["kernel"],
+        size=ProblemSize(entry["size"], tuple(entry["shape"])),
+        framework=entry.get("framework"),
+        variant=entry.get("variant", "default"),
+    )
 
 
 KERNEL_BUILDERS: dict[str, Callable[[tuple[int, int, int]], ModuleOp]] = {
@@ -152,46 +179,6 @@ DEFAULT_CASES: list[BenchmarkCase] = [
 ]
 
 
-def parse_shard(text: str) -> tuple[int, int]:
-    """Parse a ``i/n`` shard selector (1-based) into ``(index, count)``.
-
-    >>> parse_shard("2/4")
-    (2, 4)
-    >>> parse_shard("5/4")
-    Traceback (most recent call last):
-        ...
-    ValueError: invalid shard '5/4': expected i/n with 1 <= i <= n, e.g. 2/4
-    """
-    part, sep, total = text.partition("/")
-    try:
-        index, count = int(part), int(total)
-    except ValueError:
-        index, count = 0, 0
-    if not sep or count < 1 or not (1 <= index <= count):
-        raise ValueError(
-            f"invalid shard '{text}': expected i/n with 1 <= i <= n, e.g. 2/4"
-        )
-    return index, count
-
-
-def select_shard(cases: Sequence[BenchmarkCase], index: int, count: int) -> list[BenchmarkCase]:
-    """Deterministic shard ``index`` (1-based) of ``count`` over ``cases``.
-
-    Strided selection over the case-major ordering, so the shards partition
-    the matrix exactly and stay balanced across problem sizes.  Results of
-    per-shard runs merge back into the full matrix with
-    :func:`repro.evaluation.report.merge_result_files`.
-
-    >>> shard1 = select_shard(DEFAULT_CASES, 1, 2)
-    >>> shard2 = select_shard(DEFAULT_CASES, 2, 2)
-    >>> len(shard1) + len(shard2) == len(DEFAULT_CASES)
-    True
-    """
-    if not (1 <= index <= count):
-        raise ValueError(f"shard index {index} out of range 1..{count}")
-    return list(cases[index - 1 :: count])
-
-
 def _resolve_framework_names(
     frameworks: Sequence[Type[Framework] | str] | None,
 ) -> list[str]:
@@ -257,27 +244,13 @@ def _run_case_payload(payload: dict[str, Any]) -> dict[str, Any]:
     artefacts — without this, ``jobs > 1`` would silently recompile what
     another worker already built.
     """
-    cache_dir = payload.get("cache_dir")
-    remote_cache_dir = payload.get("remote_cache_dir")
     harness = EvaluationHarness(
         device=device_by_name(payload["device"]),
         repeats=payload["repeats"],
-        cache=(
-            CompileCache(cache_dir, remote_dir=remote_cache_dir)
-            if cache_dir or remote_cache_dir
-            else None
-        ),
+        cache=CompileCache.from_settings(payload["cache"]),
     )
-    case = BenchmarkCase(
-        kernel=payload["kernel"],
-        # Rebuilt from label+shape (not a KERNEL_SIZES lookup) so custom
-        # ProblemSizes evaluate identically in serial and parallel runs.
-        size=ProblemSize(payload["size"], tuple(payload["shape"])),
-        framework=payload["framework"],
-        variant=payload.get("variant", "default"),
-    )
-    result = harness.run_case(FRAMEWORKS_BY_NAME[payload["framework"]], case)
-    return result.as_dict()
+    case = case_from_dict(payload["case"])
+    return harness.run_case(FRAMEWORKS_BY_NAME[case.framework], case).as_dict()
 
 
 @dataclass
@@ -493,25 +466,13 @@ class EvaluationHarness:
         # Either way results are published through ``on_result`` as they
         # complete (``pool.map`` yields lazily in submission order).
         if jobs > 1 and len(pending) > 1:
+            cache = self.cache.settings() if self.cache is not None else None
             payloads = [
                 {
-                    "kernel": slots[i][0].kernel,
-                    "size": slots[i][0].size.label,
-                    "shape": list(slots[i][0].size.shape),
-                    "framework": slots[i][1],
-                    "variant": slots[i][0].variant,
+                    "case": case_to_dict(replace(slots[i][0], framework=slots[i][1])),
                     "device": self.device.name,
                     "repeats": self.repeats,
-                    "cache_dir": (
-                        str(self.cache.cache_dir)
-                        if self.cache is not None and self.cache.cache_dir is not None
-                        else None
-                    ),
-                    "remote_cache_dir": (
-                        str(self.cache.remote_dir)
-                        if self.cache is not None and self.cache.remote_dir is not None
-                        else None
-                    ),
+                    "cache": cache,
                 }
                 for i in pending
             ]

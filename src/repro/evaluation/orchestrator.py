@@ -39,9 +39,11 @@ The pieces, in pipeline order:
   ``--stream``).
 * **Resuming** — each completed case is appended to
   ``manifest-shard<i>.jsonl`` keyed by its *result-stage compile-cache
-  digest* (:meth:`EvaluationHarness.result_key`), so a killed sweep
-  restarts with zero recompiles: planned cases whose digest is already in
-  a manifest are served from the manifest, never re-launched.
+  digest* (:meth:`EvaluationHarness.result_key`; the format and the
+  files every reader loads live in :mod:`repro.evaluation.manifest`), so
+  a killed sweep restarts with zero recompiles: planned cases whose
+  digest is already in a manifest are served from the manifest, never
+  re-launched.
 * **Merging** — the final report is
   :func:`repro.evaluation.report.merge_results` over every manifest
   entry: byte-identical to a single-process run's merged report.
@@ -62,7 +64,6 @@ import argparse
 import json
 import os
 import shlex
-import signal
 import subprocess
 import sys
 import time
@@ -72,52 +73,28 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
 from repro.baselines.stencil_hmls import StencilHMLSFramework
-from repro.core.compile_cache import CompileCache
+from repro.core.compile_cache import CompileCache, add_cache_arguments, cache_from_args
 from repro.evaluation.harness import (
     DEFAULT_CASES,
     PIPELINE_VARIANTS,
     BenchmarkCase,
     EvaluationHarness,
     _resolve_framework_names,
+    case_from_dict,
+    case_to_dict,
     expand_matrix_slots,
 )
+from repro.evaluation.manifest import (
+    Manifest,
+    load_manifest,
+    manifest_files,
+    manifest_path,
+    read_jsonl,
+)
 from repro.evaluation.metrics import FrameworkResult
-from repro.evaluation.report import merge_results, results_to_json, _deterministic_entry
+from repro.evaluation.report import merge_results, results_to_json
 from repro.fpga.device import ALVEO_U280, device_by_name
 from repro.ir.pass_registry import canonical_pipeline_spec
-from repro.kernels.grids import ProblemSize
-
-
-# ---------------------------------------------------------------------------
-# Case (de)serialisation
-# ---------------------------------------------------------------------------
-
-
-def case_to_dict(case: BenchmarkCase) -> dict[str, Any]:
-    """A :class:`BenchmarkCase` as a JSON-safe dict (label *and* shape, so
-    custom problem sizes survive the round-trip)."""
-    return {
-        "kernel": case.kernel,
-        "size": case.size.label,
-        "shape": list(case.size.shape),
-        "framework": case.framework,
-        "variant": case.variant,
-    }
-
-
-def case_from_dict(entry: dict[str, Any]) -> BenchmarkCase:
-    """Inverse of :func:`case_to_dict`.
-
-    >>> from repro.evaluation.harness import DEFAULT_CASES
-    >>> case_from_dict(case_to_dict(DEFAULT_CASES[0])) == DEFAULT_CASES[0]
-    True
-    """
-    return BenchmarkCase(
-        kernel=entry["kernel"],
-        size=ProblemSize(entry["size"], tuple(entry["shape"])),
-        framework=entry.get("framework"),
-        variant=entry.get("variant", "default"),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +365,8 @@ class EventWriter:
         return record
 
 
-def read_events(path: str | Path) -> list[dict[str, Any]]:
-    """All events of one JSONL file (missing file = no events yet)."""
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        return []
-    events = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue  # a partially-written trailing line; the next poll gets it
-    return events
+#: All events of one JSONL event file (missing file = no events yet).
+read_events = read_jsonl
 
 
 class _EventForwarder:
@@ -465,22 +428,6 @@ class _EventForwarder:
 EXIT_INTERRUPTED = 3
 
 
-def _manifest_path(state_dir: Path, shard_index: int) -> Path:
-    return state_dir / f"manifest-shard{shard_index}.jsonl"
-
-
-def load_manifest(state_dir: str | Path) -> dict[str, dict[str, Any]]:
-    """The resumability manifest: result-key digest → manifest entry, merged
-    over every ``manifest-shard*.jsonl`` in the state directory."""
-    completed: dict[str, dict[str, Any]] = {}
-    for path in sorted(Path(state_dir).glob("manifest-shard*.jsonl")):
-        for entry in read_events(path):
-            digest = entry.get("digest")
-            if digest and "result" in entry:
-                completed[digest] = entry
-    return completed
-
-
 def shard_spec(
     shard: ShardPlan,
     *,
@@ -488,26 +435,23 @@ def shard_spec(
     device: str = ALVEO_U280.name,
     repeats: int = 1,
     jobs: int = 1,
-    cache_dir: str | None = None,
-    remote_cache_dir: str | None = None,
-    cache_max_bytes: int | None = None,
+    cache: dict[str, Any] | None = None,
     max_cases: int | None = None,
 ) -> dict[str, Any]:
-    """The JSON-safe job description one shard worker executes."""
+    """The JSON-safe job description one shard worker executes; ``cache``
+    is a :meth:`CompileCache.settings` dict."""
     return {
         "shard": shard.index,
         "cases": [case_to_dict(case) for case in shard.cases],
         "device": device,
         "repeats": repeats,
         "jobs": jobs,
-        "cache_dir": cache_dir,
-        "remote_cache_dir": remote_cache_dir,
-        "cache_max_bytes": cache_max_bytes,
+        "cache": cache,
         "max_cases": max_cases,
         "state_dir": str(state_dir),
         "events": str(state_dir / f"events-shard{shard.index}.jsonl"),
         "results": str(state_dir / f"results-shard{shard.index}.json"),
-        "manifest": str(_manifest_path(state_dir, shard.index)),
+        "manifest": str(manifest_path(state_dir, f"shard{shard.index}")),
     }
 
 
@@ -521,15 +465,12 @@ def run_shard_spec(spec: dict[str, Any]) -> int:
     shard_index = spec["shard"]
     cases = [case_from_dict(entry) for entry in spec["cases"]]
     max_cases = spec.get("max_cases")
-    chaos_kill_after = spec.get("chaos_kill_after")
     interrupted = False
     if max_cases is not None and len(cases) > max_cases:
         cases = cases[:max_cases]
         interrupted = True
 
-    cache = None
-    if spec.get("cache_dir") or spec.get("remote_cache_dir"):
-        cache = CompileCache(spec.get("cache_dir"), remote_dir=spec.get("remote_cache_dir"))
+    cache = CompileCache.from_settings(spec.get("cache"))
     harness = EvaluationHarness(
         device=device_by_name(spec["device"]),
         repeats=spec["repeats"],
@@ -537,8 +478,11 @@ def run_shard_spec(spec: dict[str, Any]) -> int:
         jobs=max(spec.get("jobs", 1), 1),
     )
     events = EventWriter(spec["events"])
-    manifest = Path(spec["manifest"])
-    manifest.parent.mkdir(parents=True, exist_ok=True)
+    # Fault injection (tests/CI) dies like a real `kill -9` would: manifest
+    # written, results file never produced, no cleanup.  Deterministic
+    # because the *worker* pulls the trigger, not a racing poll loop in the
+    # orchestrator.
+    manifest = Manifest(spec["manifest"], chaos_kill_after=spec.get("chaos_kill_after"))
     events.emit(
         "shard_started", shard=shard_index, cases=len(cases),
         interrupted_after=max_cases if interrupted else None,
@@ -551,16 +495,7 @@ def run_shard_spec(spec: dict[str, Any]) -> int:
     ) -> None:
         nonlocal finished
         finished += 1
-        key = harness.result_key(case, framework)
-        entry = {
-            "digest": key.digest("result"),
-            "key": key.as_dict(),
-            "case": case_to_dict(case),
-            "result": _deterministic_entry(result.as_dict()),
-        }
-        with manifest.open("a") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.flush()
+        record = manifest.record(harness.result_key(case, framework), case, result.as_dict())
         events.emit(
             "case_finished",
             shard=shard_index,
@@ -569,21 +504,17 @@ def run_shard_spec(spec: dict[str, Any]) -> int:
             variant=case.variant,
             status=result.status,
             cached=cached,
-            digest=entry["digest"],
+            digest=record["digest"],
             index=finished,
         )
-        if chaos_kill_after is not None and finished >= chaos_kill_after:
-            # Fault injection (tests/CI): die like a real `kill -9` would —
-            # manifest written, results file never produced, no cleanup.
-            # Deterministic because the *worker* pulls the trigger, not a
-            # racing poll loop in the orchestrator.
-            events.emit("chaos_kill", shard=shard_index, after_cases=finished)
-            os.kill(os.getpid(), signal.SIGKILL)
+        manifest.kill_if_due(
+            lambda appended: events.emit("chaos_kill", shard=shard_index, after_cases=appended)
+        )
 
     results = harness.run_matrix(cases=cases, on_result=on_result)
     results_to_json(results, spec["results"], deterministic=True)
-    if cache is not None and spec.get("cache_max_bytes") is not None:
-        cache.gc(spec["cache_max_bytes"])
+    if cache is not None:
+        cache.trim()
     events.emit(
         "shard_finished",
         shard=shard_index,
@@ -867,7 +798,7 @@ def _replacement_spec(
     new["cases"] = [case_to_dict(case) for case in cases]
     new["events"] = str(state_dir / f"events-shard{index}.jsonl")
     new["results"] = str(state_dir / f"results-shard{index}.json")
-    new["manifest"] = str(_manifest_path(state_dir, index))
+    new["manifest"] = str(manifest_path(state_dir, f"shard{index}"))
     # Fault injection targets the first attempt only; replacements run clean.
     new.pop("chaos_kill_after", None)
     return new
@@ -1079,6 +1010,9 @@ def orchestrate(
     failure message quotes the tail of the worker's captured log).
     Partial results are merged and written in every case.
     """
+    cache = CompileCache.from_settings(
+        dict(cache_dir=cache_dir, remote_cache_dir=remote_cache_dir, cache_max_bytes=cache_max_bytes)
+    )
     state_dir = Path(state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
     if isinstance(launcher, str):
@@ -1092,9 +1026,7 @@ def orchestrate(
             device=device,
             repeats=repeats,
             jobs=jobs,
-            cache_dir=cache_dir,
-            remote_cache_dir=remote_cache_dir,
-            cache_max_bytes=cache_max_bytes,
+            cache=cache.settings() if cache is not None else None,
             max_cases=max_cases_per_shard,
         )
         for shard in plan.shards
@@ -1245,16 +1177,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--state-dir", default=".shmls-orchestrate", metavar="DIR",
                         help="run directory for shard specs, manifests and "
                         "event streams (default .shmls-orchestrate)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="shared content-addressed compile-cache directory")
-    parser.add_argument("--remote-cache-dir", default=None, metavar="DIR",
-                        help="shared network cache tier behind --cache-dir "
-                        "(an NFS/sshfs-mounted path): read-through on miss, "
-                        "written back on store, so warm artefacts dedup "
-                        "across machines and users")
-    parser.add_argument("--cache-max-bytes", type=int, default=None, metavar="BYTES",
-                        help="evict least-recently-used cache entries down to "
-                        "this on-disk budget after each shard")
+    add_cache_arguments(parser)
     parser.add_argument("--max-retries", type=int, default=1, metavar="N",
                         help="relaunch a dead/straggling shard's unfinished "
                         "cases up to N times before failing hard (default 1)")
@@ -1287,8 +1210,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="skip the shmls-lint pass over the planned cases "
                         "during --dry-run")
     parser.add_argument("--fresh", action="store_true",
-                        help="ignore (and discard) the resume manifest in "
-                        "--state-dir and re-run every case")
+                        help="discard every manifest in --state-dir and "
+                        "re-run every case")
     parser.add_argument("--max-cases-per-shard", type=int, default=None, metavar="N",
                         help="stop each shard after N cases (smoke tests / "
                         "budgeted partial runs; the next run resumes)")
@@ -1298,6 +1221,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.run_shard is not None:
         return run_shard_spec(json.loads(Path(args.run_shard).read_text()))
+    cache = cache_from_args(parser, args)
 
     if args.launcher == "remote":
         if not args.hosts:
@@ -1314,7 +1238,7 @@ def main(argv: list[str] | None = None) -> int:
     state_dir = Path(args.state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
     if args.fresh:
-        for path in state_dir.glob("manifest-shard*.jsonl"):
+        for path in manifest_files(state_dir):
             path.unlink()
     completed = load_manifest(state_dir)
 
@@ -1355,9 +1279,7 @@ def main(argv: list[str] | None = None) -> int:
         device=args.device,
         repeats=args.repeats,
         jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        remote_cache_dir=args.remote_cache_dir,
-        cache_max_bytes=args.cache_max_bytes,
+        **(cache.settings() if cache is not None else {}),
         max_cases_per_shard=args.max_cases_per_shard,
         events=events,
         output=args.output,

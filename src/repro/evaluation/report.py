@@ -18,20 +18,14 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.core.compile_cache import CompileCache
+from repro.core.compile_cache import add_cache_arguments, cache_from_args
 from repro.evaluation.figures import (
     FIGURE_FRAMEWORKS,
     figure4_performance,
     figure5_pw_power_energy,
     figure6_tracer_power_energy,
 )
-from repro.evaluation.harness import (
-    DEFAULT_CASES,
-    BenchmarkCase,
-    EvaluationHarness,
-    parse_shard,
-    select_shard,
-)
+from repro.evaluation.harness import DEFAULT_CASES, BenchmarkCase, EvaluationHarness
 from repro.evaluation.metrics import FrameworkResult
 from repro.evaluation.tables import RESOURCE_COLUMNS, table1_pw_resources, table2_tracer_resources
 from repro.kernels.grids import PW_ADVECTION_SIZES, TRACER_ADVECTION_SIZES
@@ -80,7 +74,7 @@ def format_table(rows: list[dict], title: str) -> str:
     return "\n".join(lines)
 
 
-def _deterministic_entry(entry: dict[str, Any]) -> dict[str, Any]:
+def deterministic_entry(entry: dict[str, Any]) -> dict[str, Any]:
     """Strip run-dependent noise — per-pass seconds and cache-provenance
     notes — so reports compare byte-for-byte across serial/parallel/cached
     runs."""
@@ -100,7 +94,7 @@ def results_to_json(
 ) -> str:
     entries = [r.as_dict() for r in results]
     if deterministic:
-        entries = [_deterministic_entry(e) for e in entries]
+        entries = [deterministic_entry(e) for e in entries]
     payload = json.dumps(entries, indent=2, sort_keys=True)
     if path is not None:
         Path(path).write_text(payload)
@@ -178,20 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=10, help="runs to average over")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="evaluate cases over N worker processes (default: serial)")
-    parser.add_argument("--cache-dir", type=str, default=None, metavar="DIR",
-                        help="content-addressed compile/result cache directory")
-    parser.add_argument("--remote-cache-dir", type=str, default=None, metavar="DIR",
-                        help="shared network cache tier behind --cache-dir "
-                        "(an NFS/sshfs-mounted path): read-through on miss, "
-                        "written back on store")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore --cache-dir and recompute everything")
-    parser.add_argument("--cache-max-bytes", type=int, default=None, metavar="BYTES",
-                        help="evict least-recently-used cache entries down to this "
-                        "on-disk budget after the run")
-    parser.add_argument("--shard", type=str, default=None, metavar="I/N",
-                        help="run only the I-th of N deterministic case shards "
-                        "(1-based); merge shard outputs with merge_result_files")
+    add_cache_arguments(parser)
     parser.add_argument("--deterministic", action="store_true",
                         help="strip wall-clock noise from --output JSON so runs compare byte-for-byte")
     parser.add_argument("--stream", action="store_true",
@@ -199,20 +180,9 @@ def main(argv: list[str] | None = None) -> int:
                         "while the matrix is still running")
     args = parser.parse_args(argv)
 
-    cache = None
-    if (args.cache_dir or args.remote_cache_dir) and not args.no_cache:
-        cache = CompileCache(args.cache_dir, remote_dir=args.remote_cache_dir)
-    if args.cache_max_bytes is not None and (cache is None or cache.cache_dir is None):
-        parser.error("--cache-max-bytes needs an active local cache "
-                     "(--cache-dir without --no-cache)")
+    cache = cache_from_args(parser, args)
     harness = EvaluationHarness(repeats=args.repeats, cache=cache, jobs=max(args.jobs, 1))
     cases = _quick_cases() if args.quick else list(DEFAULT_CASES)
-    if args.shard:
-        try:
-            index, count = parse_shard(args.shard)
-        except ValueError as err:
-            parser.error(str(err))
-        cases = select_shard(cases, index, count)
     on_result = None
     if args.stream:
         progress = {"done": 0}
@@ -262,10 +232,8 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(generate_all(results))
     if cache is not None:
-        if args.cache_max_bytes is not None:
-            cache.gc(args.cache_max_bytes)
-        else:
-            cache.disk_bytes()
+        cache.trim()
+        cache.disk_bytes()
         for line in cache.stats.summary_lines():
             print(line)
     return 0

@@ -68,14 +68,6 @@ class AnalysisStats:
     def as_dict(self) -> dict[str, Any]:
         return {"hits": dict(self.hits), "misses": dict(self.misses)}
 
-    def summary_lines(self) -> list[str]:
-        lines: list[str] = []
-        for name in sorted(set(self.hits) | set(self.misses)):
-            hits = self.hits.get(name, 0)
-            misses = self.misses.get(name, 0)
-            lines.append(f"analysis {name}: {hits} hits, {misses} misses")
-        return lines
-
 
 class AnalysisManager:
     """On-demand, content-keyed cache of module analyses.

@@ -31,7 +31,7 @@ import hashlib
 import json
 from typing import Any, Mapping
 
-from repro.ir.core import Block, Operation, Region, SSAValue
+from repro.ir.core import Block, Operation, SSAValue
 from repro.ir.interning import frame as _frame
 from repro.ir.printer import Printer
 
@@ -122,31 +122,6 @@ def operation_fingerprint(op: Operation) -> tuple[str, tuple[SSAValue, ...]]:
             _append_block(parts, block, scope)
         parts.append(")")
 
-    return hashlib.sha256(_frame(parts)).hexdigest(), tuple(scope.free)
-
-
-def block_fingerprint(block: Block) -> tuple[str, tuple[SSAValue, ...]]:
-    """Structural fingerprint of one block, composed from its op digests.
-
-    Free values (used but not defined in the block) are bound by first-use
-    order, exactly like :func:`operation_fingerprint` — blocks differing
-    only in operand bindings fingerprint differently.
-    """
-    parts: list[str] = []
-    scope = _Scope()
-    _append_block(parts, block, scope)
-    return hashlib.sha256(_frame(parts)).hexdigest(), tuple(scope.free)
-
-
-def region_fingerprint(region: Region) -> tuple[str, tuple[SSAValue, ...]]:
-    """Structural fingerprint of one region (its blocks, in order), with
-    free values resolved across the whole region."""
-    parts: list[str] = []
-    scope = _Scope()
-    for block in region.blocks:
-        parts.append("(")
-        _append_block(parts, block, scope)
-        parts.append(")")
     return hashlib.sha256(_frame(parts)).hexdigest(), tuple(scope.free)
 
 

@@ -24,9 +24,10 @@ door that can face many concurrent clients:
   <repro.evaluation.harness.EvaluationHarness.run_matrix>` running on a
   compile-executor thread via ``loop.call_soon_threadsafe``.
 * **Resumability** — every completed case is appended to
-  ``state_dir/manifest-service.jsonl`` (the orchestrator's manifest
-  format); a restarted server reloads every ``manifest-*.jsonl`` in its
-  state dir, so a client reconnecting after a mid-stream kill gets the
+  ``state_dir/manifest-service.jsonl``
+  (:class:`~repro.evaluation.manifest.Manifest`, the orchestrator's
+  format); a restarted server reloads every manifest in its state dir,
+  so a client reconnecting after a mid-stream kill gets the
   already-completed cases back with zero recompiles.
 
 Protocol (see ``docs/service.md``):
@@ -44,7 +45,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import signal
 import sys
 import threading
@@ -53,11 +53,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.core.compile_cache import CacheKey, CompileCache
+from repro.core.compile_cache import CacheKey, CompileCache, add_cache_arguments, cache_from_args
 from repro.evaluation.harness import BenchmarkCase, EvaluationHarness
+from repro.evaluation.manifest import Manifest, load_manifest, manifest_path
 from repro.evaluation.metrics import FrameworkResult
-from repro.evaluation.orchestrator import case_to_dict, read_events
-from repro.evaluation.report import _deterministic_entry, merge_results
+from repro.evaluation.report import deterministic_entry, merge_results
 from repro.fpga.device import device_by_name
 from repro.service.singleflight import Flight, SingleFlightTable
 from repro.service.spec import RequestSpec, RequestSpecError, parse_request, request_digest
@@ -97,22 +97,6 @@ class ServiceStats:
         }
 
 
-def load_service_manifest(state_dir: str | Path) -> dict[str, dict[str, Any]]:
-    """Every ``manifest-*.jsonl`` entry in ``state_dir``, digest-keyed.
-
-    Deliberately a superset of the orchestrator's ``manifest-shard*``
-    glob: a service pointed at a finished fleet sweep's state dir resumes
-    from the fleet's manifests too.
-    """
-    completed: dict[str, dict[str, Any]] = {}
-    for path in sorted(Path(state_dir).glob("manifest-*.jsonl")):
-        for entry in read_events(path):
-            digest = entry.get("digest")
-            if digest and "result" in entry:
-                completed[digest] = entry
-    return completed
-
-
 class CompileService:
     """The front-door service object (one per process).
 
@@ -139,9 +123,6 @@ class CompileService:
         self.max_inflight = max_inflight
         self.compile_threads = compile_threads
         self.retry_after = retry_after
-        #: Fault injection (tests/CI): SIGKILL this process after N
-        #: lifetime manifest appends — a deterministic mid-stream kill.
-        self.chaos_kill_after = chaos_kill_after
 
         self.table = SingleFlightTable()
         self.stats = ServiceStats()
@@ -158,14 +139,14 @@ class CompileService:
         #: Per-(device, repeats) harnesses sharing one cache and one
         #: kernel-module memo namespace each; created lazily.
         self._harnesses: dict[tuple[str, int], EvaluationHarness] = {}
-        self._manifest_lock = threading.Lock()
-        self._manifest_appends = 0
-        self._manifest: dict[str, dict[str, Any]] = {}
-        self._manifest_path: Path | None = None
-        if self.state_dir is not None:
-            self.state_dir.mkdir(parents=True, exist_ok=True)
-            self._manifest_path = self.state_dir / "manifest-service.jsonl"
-            self._manifest = load_service_manifest(self.state_dir)
+        # Fault injection (tests/CI): ``chaos_kill_after`` SIGKILLs this
+        # process after N lifetime manifest appends — a deterministic
+        # mid-stream kill.
+        self.manifest = Manifest(
+            None if state_dir is None else manifest_path(state_dir, "service"),
+            None if state_dir is None else load_manifest(state_dir),
+            chaos_kill_after=chaos_kill_after,
+        )
 
     # -- wiring ---------------------------------------------------------------
 
@@ -183,7 +164,7 @@ class CompileService:
 
     @property
     def manifest_entries(self) -> int:
-        return len(self._manifest)
+        return len(self.manifest)
 
     def stats_payload(self) -> dict[str, Any]:
         if self.cache is not None:
@@ -200,38 +181,6 @@ class CompileService:
             "cache": self.cache.stats.as_dict() if self.cache is not None else None,
         }
 
-    # -- manifest -------------------------------------------------------------
-
-    def _manifest_get(self, digest: str) -> dict[str, Any] | None:
-        with self._manifest_lock:
-            return self._manifest.get(digest)
-
-    def _manifest_record(
-        self, digest: str, key: CacheKey, case: BenchmarkCase, entry: dict[str, Any]
-    ) -> None:
-        """Append one completed case (executor thread; idempotent)."""
-        record = {
-            "digest": digest,
-            "key": key.as_dict(),
-            "case": case_to_dict(case),
-            "result": entry,
-        }
-        with self._manifest_lock:
-            if digest in self._manifest:
-                return
-            self._manifest[digest] = record
-            if self._manifest_path is not None:
-                with self._manifest_path.open("a") as handle:
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
-                    handle.flush()
-            self._manifest_appends += 1
-            appends = self._manifest_appends
-        if self.chaos_kill_after is not None and appends >= self.chaos_kill_after:
-            # Die like a real `kill -9`: manifest flushed, stream torn
-            # mid-flight, no cleanup.  Deterministic because the compile
-            # thread itself pulls the trigger after the N-th append.
-            os.kill(os.getpid(), signal.SIGKILL)
-
     # -- request handling (event-loop side) -----------------------------------
 
     def _warm_entry(
@@ -239,13 +188,13 @@ class CompileService:
     ) -> tuple[dict[str, Any] | None, str]:
         """A case's deterministic result entry if it is warm: manifest
         first, then a cache probe (restore only on a positive probe)."""
-        entry = self._manifest_get(digest)
+        entry = self.manifest.get(digest)
         if entry is not None:
             return entry["result"], "manifest"
         if self.cache is not None and self.cache.probe(key, "result"):
             payload = self.cache.get(key, "result")
             if payload is not None:
-                return _deterministic_entry(payload), "cache"
+                return deterministic_entry(payload), "cache"
         return None, ""
 
     def handle_compile_request(self, payload: Any) -> tuple[Any, dict[str, Any]]:
@@ -379,9 +328,9 @@ class CompileService:
             loop.call_soon_threadsafe(flight.publish, event)
 
         pending: list[BenchmarkCase] = []
-        key_by_case: dict[tuple, tuple[CacheKey, str]] = {}
+        key_by_case: dict[BenchmarkCase, CacheKey] = {}
         for case, key, slot_digest in zip(cases, keys, digests):
-            entry = self._manifest_get(slot_digest)
+            entry = self.manifest.get(slot_digest)
             if entry is not None:
                 index += 1
                 entries.append(entry["result"])
@@ -392,7 +341,7 @@ class CompileService:
                 )
                 continue
             pending.append(case)
-            key_by_case[_case_identity(case)] = (key, slot_digest)
+            key_by_case[case] = key
 
         def on_result(
             case: BenchmarkCase, framework: str,
@@ -400,15 +349,15 @@ class CompileService:
         ) -> None:
             nonlocal index
             index += 1
-            key, slot_digest = key_by_case[_case_identity(case)]
-            entry = _deterministic_entry(result.as_dict())
-            entries.append(entry)
+            record = self.manifest.record(key_by_case[case], case, result.as_dict())
+            entries.append(record["result"])
             if not cached:
                 self.stats.cases_compiled += 1
-            self._manifest_record(slot_digest, key, case, entry)
+            # The kill lands after the append, before the case is published.
+            self.manifest.kill_if_due()
             publish(
                 _case_event(
-                    index, case, entry, slot_digest, cached,
+                    index, case, record["result"], record["digest"], cached,
                     "cache" if cached else "compile",
                 )
             )
@@ -510,10 +459,6 @@ class CompileService:
 
 
 # -- event shapes -------------------------------------------------------------
-
-
-def _case_identity(case: BenchmarkCase) -> tuple:
-    return (case.kernel, case.size.label, case.framework, case.variant)
 
 
 def _case_event(
@@ -699,11 +644,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--state-dir", default=".shmls-serve", metavar="DIR",
                         help="service state directory: the resumability "
                         "manifest lives here (default .shmls-serve)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="content-addressed compile cache directory "
-                        "(warm requests are answered straight from it)")
-    parser.add_argument("--remote-cache-dir", default=None, metavar="DIR",
-                        help="shared network cache tier behind --cache-dir")
+    add_cache_arguments(parser)
     parser.add_argument("--max-inflight", type=int, default=4, metavar="N",
                         help="admission control: maximum queued+running "
                         "compile flights before shedding with 429 (default 4)")
@@ -717,9 +658,7 @@ def main(argv: list[str] | None = None) -> int:
                         "after N manifest appends")
     args = parser.parse_args(argv)
 
-    cache = None
-    if args.cache_dir or args.remote_cache_dir:
-        cache = CompileCache(args.cache_dir, remote_dir=args.remote_cache_dir)
+    cache = cache_from_args(parser, args)
     service = CompileService(
         cache=cache,
         state_dir=args.state_dir,
@@ -754,6 +693,8 @@ def main(argv: list[str] | None = None) -> int:
         asyncio.run(serve())
     except KeyboardInterrupt:  # pragma: no cover - signal handler races
         pass
+    if cache is not None:
+        cache.trim()
     return 0
 
 

@@ -22,7 +22,7 @@ import pytest
 from repro.dialects import stencil
 from repro.evaluation.harness import STAGED_PIPELINE
 from repro.frontends.builder import StencilKernelBuilder
-from repro.ir.analysis import AnalysisManager, AnalysisStats
+from repro.ir.analysis import AnalysisManager
 from repro.ir.diagnostics import (
     Diagnostic,
     DiagnosticEngine,
@@ -224,12 +224,6 @@ class TestAnalysisManager:
         assert manager.stats.misses == {
             "access-bounds": 2, "def-use": 2, "stencil-kernel": 2,
         }
-
-    def test_stats_summary_lines(self):
-        stats = AnalysisStats()
-        stats.record_miss("verify")
-        stats.record_hit("verify")
-        assert stats.summary_lines() == ["analysis verify: 1 hits, 1 misses"]
 
 
 class TestPipelineVerificationCost:

@@ -161,9 +161,7 @@ class TestEventChannel:
         assert seen == [("Vitis HLS", True), ("DaCe", True)]
 
     def test_report_cli_stream_emits_jsonl(self, capsys):
-        code = report_main(
-            ["--quick", "--repeats", "1", "--shard", "1/2", "--stream"]
-        )
+        code = report_main(["--quick", "--repeats", "1", "--stream"])
         assert code == 0
         lines = [
             json.loads(line)

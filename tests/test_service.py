@@ -12,6 +12,7 @@ the interruption point is exact.
 
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -435,3 +436,17 @@ class TestKillTheServer:
         finally:
             proc.kill()
             proc.wait(timeout=30)
+
+    def test_sigterm_trims_the_cache_to_its_budget(self, tmp_path):
+        """``--cache-max-bytes`` evicts when the server shuts down."""
+        proc, client = self._spawn(tmp_path, "--cache-max-bytes", "0")
+        try:
+            assert client.compile(BASELINE_SPEC)["complete"]["ok"] is True
+            assert list((tmp_path / "cache").rglob("*.pkl"))  # the run stored entries
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:  # pragma: no cover - cleanup on failure
+                proc.kill()
+                proc.wait(timeout=30)
+        assert not list((tmp_path / "cache").rglob("*.pkl"))

@@ -1,92 +1,50 @@
-"""Deterministic matrix sharding and cache eviction/GC."""
+"""Cache eviction/GC and the compile-cache flags every CLI shares."""
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
 import pytest
 
+from repro import cli
 from repro.core.compile_cache import CacheKey, CompileCache
-from repro.evaluation.harness import (
-    DEFAULT_CASES,
-    BenchmarkCase,
-    EvaluationHarness,
-    parse_shard,
-    select_shard,
-)
-from repro.evaluation.report import main as report_main
-from repro.evaluation.report import merge_results, results_to_json
-from repro.kernels.grids import PW_ADVECTION_SIZES, TRACER_ADVECTION_SIZES
+from repro.core.pipeline import StencilHMLSCompiler
+from repro.evaluation.harness import EvaluationHarness
+from repro.service.server import CompileService
+
+#: Each CLI's ``main(argv)`` with an argv that would otherwise start work.
+CLIS = {
+    "shmls-compile": (cli.main_compile, ["pw_advection"]),
+    "shmls-bench": (cli.main_bench, ["--quick", "--repeats", "1"]),
+    "shmls-orchestrate": (cli.main_orchestrate, ["--quick", "--state-dir", "{tmp}/state"]),
+    "shmls-serve": (cli.main_serve, ["--port", "0", "--state-dir", "{tmp}/state"]),
+}
+
+BAD_CACHE_FLAGS = {
+    "budget-without-cache-dir": ["--cache-max-bytes", "1"],
+    "negative-budget": ["--cache-max-bytes", "-1", "--cache-dir", "{tmp}/cache"],
+    "removed-no-cache": ["--no-cache"],
+}
 
 
-class TestParseShard:
-    def test_valid(self):
-        assert parse_shard("1/1") == (1, 1)
-        assert parse_shard("2/4") == (2, 4)
+class TestSharedCacheFlags:
+    @pytest.mark.parametrize("flags", list(BAD_CACHE_FLAGS.values()), ids=list(BAD_CACHE_FLAGS))
+    @pytest.mark.parametrize("name", list(CLIS))
+    def test_bad_cache_flags_exit_2_before_any_compile(
+        self, name, flags, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} started work despite {flags}")
 
-    @pytest.mark.parametrize("text", ["0/4", "5/4", "2", "a/b", "2/0", "-1/3", ""])
-    def test_invalid(self, text):
-        with pytest.raises(ValueError):
-            parse_shard(text)
-
-
-class TestSelectShard:
-    @pytest.mark.parametrize("count", [1, 2, 3, 4, 7, len(DEFAULT_CASES)])
-    def test_shards_partition_the_matrix_exactly(self, count):
-        shards = [select_shard(DEFAULT_CASES, i, count) for i in range(1, count + 1)]
-        flattened = [case for shard in shards for case in shard]
-        # Exact partition: every case exactly once, nothing added or lost.
-        assert sorted(flattened, key=DEFAULT_CASES.index) == list(DEFAULT_CASES)
-        assert len(flattened) == len(DEFAULT_CASES)
-        # Strided selection keeps shard sizes balanced within one case.
-        sizes = [len(shard) for shard in shards]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            select_shard(DEFAULT_CASES, 3, 2)
-
-    def test_sharded_runs_merge_to_the_full_matrix(self):
-        cases = [
-            BenchmarkCase("pw_advection", PW_ADVECTION_SIZES["8M"], "Stencil-HMLS"),
-            BenchmarkCase("pw_advection", PW_ADVECTION_SIZES["32M"], "Stencil-HMLS"),
-            BenchmarkCase("tracer_advection", TRACER_ADVECTION_SIZES["8M"], "Stencil-HMLS"),
-        ]
-        harness = EvaluationHarness(repeats=1)
-        full = json.loads(results_to_json(harness.run_matrix(cases=cases), deterministic=True))
-        shard_sets = []
-        for index in (1, 2):
-            shard_cases = select_shard(cases, index, 2)
-            shard_harness = EvaluationHarness(repeats=1)
-            shard_sets.append(
-                json.loads(
-                    results_to_json(
-                        shard_harness.run_matrix(cases=shard_cases), deterministic=True
-                    )
-                )
-            )
-        merged = merge_results(*shard_sets)
-        assert merged == merge_results(full)
-
-    def test_report_cli_accepts_shard(self, tmp_path, capsys):
-        out = tmp_path / "shard.json"
-        code = report_main(
-            ["--quick", "--repeats", "1", "--shard", "1/2", "--output", str(out),
-             "--deterministic"]
-        )
-        capsys.readouterr()
-        assert code == 0
-        entries = json.loads(out.read_text())
-        assert entries  # half the quick matrix, not nothing
-        full_quick_cases = 2  # pw + tracer at the smallest size
-        assert len({e["kernel"] for e in entries}) <= full_quick_cases
-
-    def test_report_cli_rejects_bad_shard(self, capsys):
-        with pytest.raises(SystemExit):
-            report_main(["--quick", "--shard", "9/2"])
-        capsys.readouterr()
+        monkeypatch.setattr(StencilHMLSCompiler, "compile", refuse)
+        monkeypatch.setattr(EvaluationHarness, "run_matrix", refuse)
+        monkeypatch.setattr(CompileService, "start", refuse)
+        main, argv = CLIS[name]
+        with pytest.raises(SystemExit) as exc:
+            main([arg.replace("{tmp}", str(tmp_path)) for arg in argv + flags])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCacheGC:
