@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.baselines.base import CompilationFailure, Framework, FrameworkArtifact
-from repro.core.compile_cache import CompileCache
 from repro.core.config import CompilerOptions
 from repro.core.pipeline import StencilHMLSCompiler
 from repro.dialects.builtin import ModuleOp
@@ -24,17 +23,13 @@ class StencilHMLSFramework(Framework):
         device: FPGADevice = ALVEO_U280,
         options: CompilerOptions | None = None,
         pass_pipeline: str | None = None,
-        cache: CompileCache | None = None,
     ) -> None:
         super().__init__(device)
         self.options = options or CompilerOptions()
         self.pass_pipeline = pass_pipeline
-        self.cache = cache
 
     def compile(self, stencil_module: ModuleOp, **options) -> FrameworkArtifact:
-        compiler = StencilHMLSCompiler(
-            self.options, self.device, pass_pipeline=self.pass_pipeline, cache=self.cache
-        )
+        compiler = StencilHMLSCompiler(self.options, self.device, pass_pipeline=self.pass_pipeline)
         try:
             xclbin = compiler.compile(stencil_module)
         except (SynthesisError, HBMAllocationError) as err:

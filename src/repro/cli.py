@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.compile_cache import add_cache_arguments, cache_from_args
 from repro.core.config import CompilerOptions
 from repro.core.pipeline import StencilHMLSCompiler
 from repro.ir.pass_registry import PipelineParseError
@@ -55,14 +54,11 @@ def main_compile(argv: list[str] | None = None) -> int:
         help="textual middle-end pipeline spec, e.g. "
         '"canonicalize,convert-stencil-to-hls{pack=0},convert-hls-to-llvm"',
     )
-    parser.add_argument("--timing", action="store_true",
-                        help="print per-pass statistics (and cache hit/miss counts)")
-    add_cache_arguments(parser)
+    parser.add_argument("--timing", action="store_true", help="print per-pass statistics")
     parser.add_argument("--print-hls", action="store_true", help="print the HLS-dialect IR")
     parser.add_argument("--print-llvm", action="store_true", help="print the annotated LLVM-dialect IR")
     parser.add_argument("--metadata", default=None, help="write xclbin metadata JSON to this path")
     args = parser.parse_args(argv)
-    cache = cache_from_args(parser, args)
 
     builder, sizes = _KERNELS[args.kernel]
     if args.size not in sizes:
@@ -75,7 +71,7 @@ def main_compile(argv: list[str] | None = None) -> int:
         separate_bundles=not args.single_bundle,
     )
     device = device_by_name(args.device)
-    compiler = StencilHMLSCompiler(options, device, pass_pipeline=args.pass_pipeline, cache=cache)
+    compiler = StencilHMLSCompiler(options, device, pass_pipeline=args.pass_pipeline)
     module = builder(shape)
     try:
         xclbin = compiler.compile(module)
@@ -91,19 +87,11 @@ def main_compile(argv: list[str] | None = None) -> int:
     print(f"compiled {args.kernel} @ {args.size} for {device.name}")
     for key, value in xclbin.summary().items():
         print(f"  {key:<16}: {value}")
-    if cache is not None:
-        cache.trim()
     if args.timing:
         print("per-pass statistics:")
         for stat in compiler.pass_statistics:
             status = "changed" if stat.changed else "no change"
-            if stat.note:
-                status += f" ({stat.note})"
             print(f"  {stat.name:<44} {stat.seconds * 1e3:9.3f} ms  {status}")
-        if cache is not None:
-            cache.disk_bytes()
-            for line in cache.stats.summary_lines():
-                print(line)
     if args.print_hls and xclbin.hls_module is not None:
         print(print_module(xclbin.hls_module))
     if args.print_llvm and xclbin.llvm_module is not None:

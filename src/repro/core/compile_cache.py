@@ -1,17 +1,16 @@
-"""Content-addressed compile-session cache.
+"""Content-addressed cache of whole evaluated cases.
 
 Entries are keyed by a :class:`CacheKey` — the canonical module hash
 (:func:`repro.ir.hashing.module_hash`), the *canonicalised* pass-pipeline
 spec (:func:`repro.ir.pass_registry.canonical_pipeline_spec`, so option
 differences such as ``stencil-to-hls{pack=0}`` vs ``{pack=1}`` can never
-collide), a fingerprint of the compiler options and a free-form ``extra``
-discriminator (device, clock, framework, …) — plus a *stage* name, so the
-compiler can reuse per-stage artefacts independently:
-
-* ``middle-end``  — device-independent pass-pipeline output
-  (HLS/LLVM modules, dataflow plans, f++ report, pass statistics)
-* ``synthesis``   — the device-specific :class:`KernelDesign`
-* ``result``      — a whole evaluation-harness :class:`FrameworkResult`
+collide) and a free-form ``extra`` discriminator (framework, variant,
+device, repeats) — plus a *stage* name.  One stage is in use:
+``result``, a whole evaluation-harness :class:`FrameworkResult`, which
+:meth:`EvaluationHarness.run_matrix
+<repro.evaluation.harness.EvaluationHarness.run_matrix>` stores as soon as
+a case is evaluated and reads back on warm runs.  The compiler itself
+caches nothing: every compile runs its whole pass pipeline once.
 
 The cache is tiered: a per-process in-memory store, an optional on-disk
 tier under ``cache_dir`` (written atomically so parallel evaluation
@@ -24,15 +23,16 @@ back with the same atomic temp-file-then-rename protocol, so concurrent
 writers on different machines never observe torn entries.  Keys are
 content hashes, so cross-machine and cross-user dedup needs no
 coordination at all.  Hit/miss/store counts are recorded per stage and
-surfaced by ``--timing`` / the bench CLI.
+surfaced by the bench CLI, shard events and ``/stats``.
 
 Every entry is one pickle blob (``.pkl`` on disk).  A store pickles the
 value once and every tier keeps those bytes, the memory tier included;
 every hit unpickles a private copy, so callers may mutate what they
 stored or got back without cloning it first.
 
-The CLIs share one flag group (:func:`add_cache_arguments`) and one rule
-for what the flags mean (:meth:`CompileCache.from_settings`).
+The CLIs that evaluate cases share one flag group
+(:func:`add_cache_arguments`) and one rule for what the flags mean
+(:meth:`CompileCache.from_settings`).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 #: Pickling an IR module recurses through its use-def web, whose depth grows
 #: with program length; the default interpreter limit (1000) is too small for
@@ -83,25 +83,24 @@ def _ensure_pickle_recursion_floor() -> None:
 
 @dataclass(frozen=True)
 class CacheKey:
-    """Content address of one compilation session.
+    """Content address of one evaluated case.
 
-    Keys are value objects; :meth:`digest` mixes in the *stage* name so
-    one session can store several independent artefacts.  They serialise
-    losslessly to JSON (:meth:`as_dict` / :meth:`from_dict`), which is how
-    the orchestrator's resumability manifest records completed cases.
+    Keys are value objects; :meth:`digest` mixes in the *stage* name.
+    They serialise losslessly to JSON (:meth:`as_dict` /
+    :meth:`from_dict`), which is how the resumability manifest records
+    completed cases.
 
     >>> key = CacheKey(module_hash="abc", pipeline="canonicalize")
     >>> CacheKey.from_dict(key.as_dict()) == key
     True
     >>> key.digest("result") == key.digest("result")
     True
-    >>> key.digest("result") != key.digest("middle-end")
+    >>> key.digest("result") != key.digest("other")
     True
     """
 
     module_hash: str
     pipeline: str = ""
-    options: str = ""
     extra: str = ""
 
     def digest(self, stage: str) -> str:
@@ -109,7 +108,7 @@ class CacheKey:
         from repro.ir.hashing import fingerprint_text
 
         return fingerprint_text(
-            "\x1f".join((stage, self.module_hash, self.pipeline, self.options, self.extra))
+            "\x1f".join((stage, self.module_hash, self.pipeline, self.extra))
         )
 
     def as_dict(self) -> dict[str, str]:
@@ -117,7 +116,6 @@ class CacheKey:
         return {
             "module_hash": self.module_hash,
             "pipeline": self.pipeline,
-            "options": self.options,
             "extra": self.extra,
         }
 
@@ -127,7 +125,6 @@ class CacheKey:
         return cls(
             module_hash=entry["module_hash"],
             pipeline=entry.get("pipeline", ""),
-            options=entry.get("options", ""),
             extra=entry.get("extra", ""),
         )
 
@@ -324,20 +321,13 @@ class CompileCache:
 
     # -- core API -------------------------------------------------------------
 
-    def get(
-        self,
-        key: CacheKey,
-        stage: str,
-        *,
-        rehydrate: Callable[[Any], Any] | None = None,
-    ) -> Any | None:
+    def get(self, key: CacheKey, stage: str) -> Any | None:
         """Look up one stage artefact; ``None`` means miss.
 
-        ``rehydrate`` post-processes the stored value (e.g. restamping the
-        statistics of a cached compilation).  Lookup order is memory →
-        local disk → shared remote tier; a disk or remote hit is kept in
-        the memory tier, and a remote hit is also copied read-through
-        into the local disk tier.  Every hit unpickles a private copy.
+        Lookup order is memory → local disk → shared remote tier; a disk
+        or remote hit is kept in the memory tier, and a remote hit is also
+        copied read-through into the local disk tier.  Every hit unpickles
+        a private copy.
         """
         digest = key.digest(stage)
         with self._lock:
@@ -346,7 +336,7 @@ class CompileCache:
                 self.stats.misses[stage] += 1
                 return None
             self.stats.hits[stage] += 1
-        return rehydrate(value) if rehydrate is not None else value
+            return value
 
     def probe(self, key: CacheKey, stage: str) -> bool:
         """Hit check *without restoring*: is the artefact in any tier?

@@ -22,14 +22,18 @@ The middle-end is driven by an MLIR-style textual pipeline spec (default
 ``pass_pipeline=...`` (or ``--pass-pipeline`` on the CLI) to customise it,
 e.g. to ablate individual lowering stages.  Per-pass timing/change
 statistics of the last compilation are kept on ``compiler.pass_statistics``.
+
+The compiler keeps no cache: every compile runs its whole pipeline once.
+Whole evaluated cases are what gets cached, under the ``result`` stage of
+:class:`~repro.core.compile_cache.CompileCache`, by
+:meth:`EvaluationHarness.run_matrix
+<repro.evaluation.harness.EvaluationHarness.run_matrix>`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
-from repro.core.compile_cache import CacheKey, CompileCache
 from repro.core.config import CompilerOptions
 from repro.core.plan import DataflowPlan
 from repro.dialects import hls, stencil
@@ -38,8 +42,8 @@ from repro.fpga.device import ALVEO_U280, FPGADevice
 from repro.fpga.synthesis import KernelDesign, VitisHLSBackend
 from repro.fpga.xclbin import Xclbin
 from repro.fpp.preprocessor import FPPReport, run_fpp
-from repro.ir.hashing import fingerprint_mapping, module_hash
-from repro.ir.pass_registry import PassRegistry, canonical_pipeline_spec
+from repro.ir.hashing import module_hash  # noqa: F401 - perfbench's tracer wraps this name
+from repro.ir.pass_registry import PassRegistry
 from repro.ir.passes import PassContext, PassManager, PassStatistics
 from repro.ir.verifier import verify_module
 from repro.transforms.hls_to_llvm import HLSToLLVMPass
@@ -84,24 +88,13 @@ class CompilationArtifacts:
 
 @dataclass
 class MiddleEndResult:
-    """Device-independent output of the pass pipeline — the unit the
-    compile cache stores under the ``middle-end`` stage."""
+    """Device-independent output of the pass pipeline."""
 
     hls_module: ModuleOp
     llvm_module: ModuleOp
     plans: dict[str, DataflowPlan]
     fpp_report: FPPReport
     pass_statistics: list[PassStatistics]
-
-    def with_note(self, note: str) -> "MiddleEndResult":
-        """Restamp statistics (e.g. ``cached``) without copying the IR: a
-        cache hit is already a private copy."""
-        return dataclasses.replace(
-            self,
-            pass_statistics=[
-                dataclasses.replace(stat, note=note) for stat in self.pass_statistics
-            ],
-        )
 
 
 class StencilHMLSCompiler:
@@ -114,7 +107,6 @@ class StencilHMLSCompiler:
         clock_mhz: float | None = None,
         canonicalize: bool = True,
         pass_pipeline: str | None = None,
-        cache: CompileCache | None = None,
     ) -> None:
         self.options = options or CompilerOptions()
         self.options.validate()
@@ -122,29 +114,12 @@ class StencilHMLSCompiler:
         self.backend = VitisHLSBackend(device, clock_mhz)
         self.canonicalize = canonicalize
         self.pass_pipeline = pass_pipeline
-        #: Optional content-addressed artefact cache shared across sessions.
-        self.cache = cache
         #: Per-pass statistics of the most recent compilation.
         self.pass_statistics: list[PassStatistics] = []
 
     def default_pipeline(self) -> str:
         prefix = "canonicalize," if self.canonicalize else ""
         return f"{prefix}convert-stencil-to-hls,convert-hls-to-llvm"
-
-    def cache_key(self, stencil_module: ModuleOp, spec: str | None = None) -> CacheKey:
-        """Content address of compiling ``stencil_module`` with this compiler.
-
-        Device-independent: the ``middle-end`` stage uses it as-is, the
-        ``synthesis`` stage appends device/clock/kernel to ``extra``.  The
-        pipeline component is the *canonicalised* spec, so the full pass
-        list and every pass option participate in the key.
-        """
-        spec = spec or self.pass_pipeline or self.default_pipeline()
-        return CacheKey(
-            module_hash=module_hash(stencil_module),
-            pipeline=canonical_pipeline_spec(spec),
-            options=fingerprint_mapping(dataclasses.asdict(self.options)),
-        )
 
     # -- public API -------------------------------------------------------------
 
@@ -166,37 +141,13 @@ class StencilHMLSCompiler:
     ) -> CompilationArtifacts:
         verify_module(stencil_module)
         spec = self.pass_pipeline or self.default_pipeline()
-
-        key = self.cache_key(stencil_module, spec) if self.cache is not None else None
-        middle: MiddleEndResult | None = None
-        if self.cache is not None and key is not None:
-            middle = self.cache.get(
-                key, "middle-end", rehydrate=lambda m: m.with_note("cached")
-            )
-        if middle is None:
-            middle = self._run_middle_end(stencil_module.clone(), spec)
-            if self.cache is not None and key is not None:
-                self.cache.put(key, "middle-end", middle)
+        middle = self._run_middle_end(stencil_module.clone(), spec)
         self.pass_statistics = list(middle.pass_statistics)
 
         plan = select_plan(middle.plans, kernel_name)
-
-        design: KernelDesign | None = None
-        synth_key: CacheKey | None = None
-        if self.cache is not None and key is not None:
-            synth_key = dataclasses.replace(
-                key,
-                extra=f"device={self.device.name}|clock={self.backend.clock_mhz}"
-                f"|kernel={plan.kernel_name}",
-            )
-            design = self.cache.get(synth_key, "synthesis")
-        if design is None:
-            fpp_report = middle.fpp_report
-            # Vitis-HLS-like synthesis.  The plan carries the effective
-            # options (including any per-pass pipeline overrides).
-            design = self.backend.synthesise(plan, fpp_report, plan.options or self.options)
-            if self.cache is not None and synth_key is not None:
-                self.cache.put(synth_key, "synthesis", design)
+        # Vitis-HLS-like synthesis.  The plan carries the effective
+        # options (including any per-pass pipeline overrides).
+        design = self.backend.synthesise(plan, middle.fpp_report, plan.options or self.options)
 
         return CompilationArtifacts(
             stencil_module=stencil_module,

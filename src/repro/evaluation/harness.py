@@ -16,8 +16,8 @@ matrix* runner:
   ``concurrent.futures`` process pool (``jobs > 1``) with deterministic
   result ordering — parallel and serial runs produce identical reports;
 * a content-addressed :class:`~repro.core.compile_cache.CompileCache`
-  (``cache=``) lets fully-evaluated cases be skipped on warm re-runs and
-  shares per-stage compile artefacts between cases.
+  (``cache=``) stores each evaluated case under the ``result`` stage as
+  soon as it finishes, so warm re-runs skip it.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import statistics
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Sequence, Type
 
 from repro.baselines import (
@@ -37,6 +38,7 @@ from repro.baselines import (
 )
 from repro.baselines.stencil_hmls import StencilHMLSFramework
 from repro.core.compile_cache import CacheKey, CompileCache
+from repro.core.pipeline import StencilHMLSCompiler
 from repro.dialects.builtin import ModuleOp
 from repro.evaluation.metrics import FrameworkResult
 from repro.fpga.device import ALVEO_U280, FPGADevice, device_by_name
@@ -155,6 +157,22 @@ PIPELINE_VARIANTS: dict[str, str | None] = {
     "single-bundle-staged": staged_variant("hls-bundle-assignment", bundles=0),
 }
 
+
+@lru_cache(maxsize=256)
+def canonical_variant_spec(variant: str) -> str:
+    """The canonical pass-pipeline spec a variant runs: a
+    :data:`PIPELINE_VARIANTS` name (``default`` is the compiler's default
+    pipeline) or a raw spec.  Memoised, because result keys and the
+    orchestrator's planner ask for a handful of variants many times; the
+    bound keeps raw specs sent to a long-lived service from piling up.
+
+    >>> canonical_variant_spec("default")
+    'canonicalize,convert-stencil-to-hls,convert-hls-to-llvm'
+    """
+    spec = PIPELINE_VARIANTS.get(variant, variant)
+    return canonical_pipeline_spec(spec or StencilHMLSCompiler().default_pipeline())
+
+
 #: The variant names forming the staged ablation axis: the untoggled
 #: staged pipeline, then the toggles in pipeline order of the sub-pass
 #: each one lands on (same-pass toggles are adjacent).
@@ -237,17 +255,11 @@ def _run_case_payload(payload: dict[str, Any]) -> dict[str, Any]:
     """Process-pool worker: evaluate one fully-pinned case.
 
     Takes and returns plain dicts so payloads cross process boundaries
-    cheaply.  Workers never touch the parent's ``result`` stage (the
-    parent stores results, so no cross-process locking is needed), but a
-    disk-backed cache directory *is* shared: its writes are atomic, so
-    pool workers reuse each other's ``middle-end``/``synthesis``
-    artefacts — without this, ``jobs > 1`` would silently recompile what
-    another worker already built.
+    cheaply.  Workers use no cache: the parent reads and stores every
+    ``result``.
     """
     harness = EvaluationHarness(
-        device=device_by_name(payload["device"]),
-        repeats=payload["repeats"],
-        cache=CompileCache.from_settings(payload["cache"]),
+        device=device_by_name(payload["device"]), repeats=payload["repeats"]
     )
     case = case_from_dict(payload["case"])
     return harness.run_case(FRAMEWORKS_BY_NAME[case.framework], case).as_dict()
@@ -271,8 +283,8 @@ class EvaluationHarness:
     device: FPGADevice = ALVEO_U280
     #: The paper averages every measurement over 10 runs.
     repeats: int = 10
-    #: Optional content-addressed cache: whole-case results are reused on
-    #: warm runs and compile artefacts are shared between cases.
+    #: Optional content-addressed cache of whole-case results, reused on
+    #: warm runs.
     cache: CompileCache | None = None
     #: Default process-pool width for :meth:`run_matrix` (1 = in-process).
     jobs: int = 1
@@ -311,9 +323,7 @@ class EvaluationHarness:
         variant_spec = PIPELINE_VARIANTS.get(case.variant, case.variant)
         if isinstance(framework, type):
             if issubclass(framework, StencilHMLSFramework):
-                return framework(
-                    self.device, pass_pipeline=variant_spec, cache=self.cache
-                )
+                return framework(self.device, pass_pipeline=variant_spec)
             framework = framework(self.device)
         if case.variant != "default":
             if not isinstance(framework, StencilHMLSFramework):
@@ -400,15 +410,11 @@ class EvaluationHarness:
                     "framework_name explicitly"
                 )
             framework_name = case.framework
-        variant_spec = PIPELINE_VARIANTS.get(case.variant, case.variant)
         pipeline = ""
         if framework_name == StencilHMLSFramework.name:
             # Embed the full canonicalised pipeline + options of the variant:
             # `…{pack=0}` and `…{pack=1}` sweeps must never share an entry.
-            from repro.core.pipeline import StencilHMLSCompiler
-
-            spec = variant_spec or StencilHMLSCompiler().default_pipeline()
-            pipeline = canonical_pipeline_spec(spec)
+            pipeline = canonical_variant_spec(case.variant)
         return CacheKey(
             module_hash=self.module_hash_for(case.kernel, case.size.shape),
             pipeline=pipeline,
@@ -438,7 +444,9 @@ class EvaluationHarness:
         completed case *while the matrix is still running* — cache-served
         cases first (``cached=True``), then fresh evaluations as they
         finish — which is how the orchestrator and ``report.py --stream``
-        publish incremental JSONL progress events.
+        publish incremental JSONL progress events.  A fresh result is in
+        the cache before its ``on_result`` fires, so a process killed
+        after announcing a case has cached it too.
         """
         cases = list(cases) if cases is not None else list(DEFAULT_CASES)
         framework_names = _resolve_framework_names(frameworks)
@@ -462,39 +470,33 @@ class EvaluationHarness:
                     continue
             pending.append(index)
 
-        # 3. Evaluate the misses — in-process, or over a process pool.
-        # Either way results are published through ``on_result`` as they
-        # complete (``pool.map`` yields lazily in submission order).
+        def finished(index: int, result: FrameworkResult) -> None:
+            results[index] = result
+            case, name = slots[index]
+            if self.cache is not None:
+                self.cache.put(keys[index], "result", result.as_dict())
+            if on_result is not None:
+                on_result(case, name, result, False)
+
+        # 3. Evaluate the misses — in-process, or over a process pool —
+        # storing and publishing each result as it completes
+        # (``pool.map`` yields lazily in submission order).
         if jobs > 1 and len(pending) > 1:
-            cache = self.cache.settings() if self.cache is not None else None
             payloads = [
                 {
                     "case": case_to_dict(replace(slots[i][0], framework=slots[i][1])),
                     "device": self.device.name,
                     "repeats": self.repeats,
-                    "cache": cache,
                 }
                 for i in pending
             ]
             with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
                 for index, payload in zip(pending, pool.map(_run_case_payload, payloads)):
-                    results[index] = FrameworkResult.from_dict(payload)
-                    if on_result is not None:
-                        case, name = slots[index]
-                        on_result(case, name, results[index], False)
+                    finished(index, FrameworkResult.from_dict(payload))
         else:
             for index in pending:
                 case, name = slots[index]
-                results[index] = self.run_case(FRAMEWORKS_BY_NAME[name], case)
-                if on_result is not None:
-                    on_result(case, name, results[index], False)
-
-        # 4. Store fresh results for the next warm run.
-        if self.cache is not None:
-            for index in pending:
-                key = keys[index]
-                if key is not None:
-                    self.cache.put(key, "result", results[index].as_dict())
+                finished(index, self.run_case(FRAMEWORKS_BY_NAME[name], case))
 
         return [result for result in results if result is not None]
 

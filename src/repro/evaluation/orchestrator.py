@@ -68,7 +68,6 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
@@ -76,10 +75,10 @@ from repro.baselines.stencil_hmls import StencilHMLSFramework
 from repro.core.compile_cache import CompileCache, add_cache_arguments, cache_from_args
 from repro.evaluation.harness import (
     DEFAULT_CASES,
-    PIPELINE_VARIANTS,
     BenchmarkCase,
     EvaluationHarness,
     _resolve_framework_names,
+    canonical_variant_spec,
     case_from_dict,
     case_to_dict,
     expand_matrix_slots,
@@ -92,9 +91,8 @@ from repro.evaluation.manifest import (
     read_jsonl,
 )
 from repro.evaluation.metrics import FrameworkResult
-from repro.evaluation.report import merge_results, results_to_json
+from repro.evaluation.report import merge_results
 from repro.fpga.device import ALVEO_U280, device_by_name
-from repro.ir.pass_registry import canonical_pipeline_spec
 
 
 # ---------------------------------------------------------------------------
@@ -102,24 +100,12 @@ from repro.ir.pass_registry import canonical_pipeline_spec
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _canonical_variant_spec(variant: str) -> str:
-    """Canonical spec of one named variant (memoised: planning sorts many
-    cases over a handful of distinct variants)."""
-    spec = PIPELINE_VARIANTS.get(variant, variant)
-    if spec is None:
-        from repro.core.pipeline import StencilHMLSCompiler
-
-        spec = StencilHMLSCompiler().default_pipeline()
-    return canonical_pipeline_spec(spec)
-
-
 def case_pipeline_spec(case: BenchmarkCase) -> str | None:
     """Canonicalised pass-pipeline spec of a pinned case (``None`` for
     baseline frameworks, which model fixed flows without a pipeline)."""
     if case.framework != StencilHMLSFramework.name:
         return None
-    return _canonical_variant_spec(case.variant)
+    return canonical_variant_spec(case.variant)
 
 
 def _module_sort_key(case: BenchmarkCase) -> tuple:
@@ -450,14 +436,13 @@ def shard_spec(
         "max_cases": max_cases,
         "state_dir": str(state_dir),
         "events": str(state_dir / f"events-shard{shard.index}.jsonl"),
-        "results": str(state_dir / f"results-shard{shard.index}.json"),
         "manifest": str(manifest_path(state_dir, f"shard{shard.index}")),
     }
 
 
 def run_shard_spec(spec: dict[str, Any]) -> int:
     """Execute one shard: run its cases, streaming an event and appending a
-    manifest line per completed case, then write the shard's results file.
+    manifest line per completed case.
 
     Returns 0, or :data:`EXIT_INTERRUPTED` when ``max_cases`` stopped the
     shard early (the kill-and-resume path CI exercises).
@@ -479,8 +464,8 @@ def run_shard_spec(spec: dict[str, Any]) -> int:
     )
     events = EventWriter(spec["events"])
     # Fault injection (tests/CI) dies like a real `kill -9` would: manifest
-    # written, results file never produced, no cleanup.  Deterministic
-    # because the *worker* pulls the trigger, not a racing poll loop in the
+    # written, no shard_finished event, no cleanup.  Deterministic because
+    # the *worker* pulls the trigger, not a racing poll loop in the
     # orchestrator.
     manifest = Manifest(spec["manifest"], chaos_kill_after=spec.get("chaos_kill_after"))
     events.emit(
@@ -512,7 +497,6 @@ def run_shard_spec(spec: dict[str, Any]) -> int:
         )
 
     results = harness.run_matrix(cases=cases, on_result=on_result)
-    results_to_json(results, spec["results"], deterministic=True)
     if cache is not None:
         cache.trim()
     events.emit(
@@ -797,7 +781,6 @@ def _replacement_spec(
     new["shard"] = index
     new["cases"] = [case_to_dict(case) for case in cases]
     new["events"] = str(state_dir / f"events-shard{index}.jsonl")
-    new["results"] = str(state_dir / f"results-shard{index}.json")
     new["manifest"] = str(manifest_path(state_dir, f"shard{index}"))
     # Fault injection targets the first attempt only; replacements run clean.
     new.pop("chaos_kill_after", None)
@@ -836,7 +819,6 @@ def run_fleet(
     max_retries: int = 1,
     retry_backoff: float = 0.5,
     straggler_timeout: float | None = None,
-    steal: bool = True,
     poll_interval: float = 0.05,
 ) -> tuple[list[int], list[dict[str, Any]]]:
     """Drive shard workers to completion with retry, straggler replacement
@@ -846,10 +828,9 @@ def run_fleet(
     :data:`EXIT_INTERRUPTED`, including SIGKILL and straggler kills)
     re-queues the shard's *unfinished* cases — anything already recorded
     in a manifest is never re-run — as fresh shards after an exponential
-    ``retry_backoff``.  With ``steal=True`` the re-queued work is split
-    over the launcher's idle capacity (surviving machines pick it up);
-    otherwise it is relaunched as one shard.  A lineage that fails more
-    than ``max_retries`` times is reported as a hard failure with the
+    ``retry_backoff``, split over the launcher's idle capacity so
+    surviving machines pick it up (work stealing).  A lineage that fails
+    more than ``max_retries`` times is reported as a hard failure with the
     tail of its worker log.
 
     ``straggler_timeout`` kills (SIGKILL) any worker whose manifest makes
@@ -928,9 +909,9 @@ def run_fleet(
                 log_tail=tail,
             )
             if not unfinished:
-                # Died after manifesting every case (e.g. while writing the
-                # shard results file): the manifest is the source of truth,
-                # so nothing is lost and nothing needs re-running.
+                # Died after manifesting every case (e.g. before its
+                # shard_finished event): the manifest is the source of
+                # truth, so nothing is lost and nothing needs re-running.
                 codes.append(0)
                 continue
             if flight.attempt > max_retries:
@@ -947,7 +928,7 @@ def run_fleet(
                 continue
             nominal = launcher.capacity() or len(specs)
             idle = max(nominal - len(still_running), 1)
-            shard_count = min(idle, len(unfinished)) if steal else 1
+            shard_count = min(idle, len(unfinished))
             delay = retry_backoff * (2 ** (flight.attempt - 1))
             for chunk in split_shards(
                 order_by_module(unfinished), shard_count
@@ -996,7 +977,6 @@ def orchestrate(
     max_retries: int = 1,
     retry_backoff: float = 0.5,
     straggler_timeout: float | None = None,
-    steal: bool = True,
     chaos_kill_shard: int | None = None,
     chaos_kill_after: int = 1,
 ) -> tuple[int, list[dict[str, Any]]]:
@@ -1049,7 +1029,6 @@ def orchestrate(
         order=plan.order,
         launcher=launcher.name,
         max_retries=max_retries,
-        steal=steal,
     )
     forwarder = _EventForwarder([Path(spec["events"]) for spec in specs], events)
     # Shard event files are recreated by the workers; start tails at zero
@@ -1065,7 +1044,6 @@ def orchestrate(
         max_retries=max_retries,
         retry_backoff=retry_backoff,
         straggler_timeout=straggler_timeout,
-        steal=steal,
     )
 
     manifest = load_manifest(state_dir)
@@ -1187,9 +1165,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--straggler-timeout", type=float, default=None, metavar="S",
                         help="SIGKILL and re-queue any worker whose manifest "
                         "makes no progress for S seconds (default: off)")
-    parser.add_argument("--no-steal", action="store_true",
-                        help="relaunch a failed shard as one piece instead of "
-                        "splitting its unfinished cases over idle capacity")
     parser.add_argument("--chaos-kill-shard", type=int, default=None, metavar="I",
                         help="fault injection (tests/CI): SIGKILL shard I's "
                         "first attempt once --chaos-kill-after of its cases "
@@ -1286,7 +1261,6 @@ def main(argv: list[str] | None = None) -> int:
         max_retries=args.max_retries,
         retry_backoff=args.retry_backoff,
         straggler_timeout=args.straggler_timeout,
-        steal=not args.no_steal,
         chaos_kill_shard=args.chaos_kill_shard,
         chaos_kill_after=args.chaos_kill_after,
     )

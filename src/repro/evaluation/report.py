@@ -75,12 +75,11 @@ def format_table(rows: list[dict], title: str) -> str:
 
 
 def deterministic_entry(entry: dict[str, Any]) -> dict[str, Any]:
-    """Strip run-dependent noise — per-pass seconds and cache-provenance
-    notes — so reports compare byte-for-byte across serial/parallel/cached
-    runs."""
+    """Strip run-dependent noise — per-pass seconds — so reports compare
+    byte-for-byte across serial/parallel/cached runs."""
     entry = dict(entry)
     entry["pass_statistics"] = [
-        {k: v for k, v in stat.items() if k not in ("seconds", "note")}
+        {k: v for k, v in stat.items() if k != "seconds"}
         for stat in entry.get("pass_statistics", [])
     ]
     return entry

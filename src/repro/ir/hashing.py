@@ -28,8 +28,6 @@ remains available as the executable specification of the canonical form.
 from __future__ import annotations
 
 import hashlib
-import json
-from typing import Any, Mapping
 
 from repro.ir.core import Block, Operation, SSAValue
 from repro.ir.interning import frame as _frame
@@ -144,20 +142,3 @@ def module_hash(op: Operation) -> str:
 def fingerprint_text(text: str) -> str:
     """sha256 hex digest of a piece of text."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _jsonable(obj: Any) -> Any:
-    if isinstance(obj, Mapping):
-        return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = [_jsonable(o) for o in obj]
-        return sorted(items, key=repr) if isinstance(obj, (set, frozenset)) else items
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return repr(obj)
-
-
-def fingerprint_mapping(mapping: Mapping[str, Any]) -> str:
-    """Stable digest of a (possibly nested) option mapping."""
-    payload = json.dumps(_jsonable(mapping), sort_keys=True, separators=(",", ":"))
-    return fingerprint_text(payload)

@@ -58,17 +58,9 @@ class PassStatistics:
     name: str
     seconds: float
     changed: bool
-    note: str = ""
 
     def as_dict(self) -> dict[str, Any]:
-        entry: dict[str, Any] = {
-            "name": self.name,
-            "seconds": self.seconds,
-            "changed": self.changed,
-        }
-        if self.note:
-            entry["note"] = self.note
-        return entry
+        return {"name": self.name, "seconds": self.seconds, "changed": self.changed}
 
 
 class ModulePass:

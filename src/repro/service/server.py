@@ -216,7 +216,7 @@ class CompileService:
         cases = spec.cases()
         keys = [harness.result_key(case) for case in cases]
         digests = [key.digest("result") for key in keys]
-        digest = request_digest(spec, harness)
+        digest = request_digest(digests)
         preamble = {
             "status": 200,
             "digest": digest,
@@ -382,6 +382,11 @@ class CompileService:
         for task in list(self._tasks):
             task.cancel()
         self._compile_pool.shutdown(wait=False, cancel_futures=True)
+
+    def join(self) -> None:
+        """Block until a compile still running after :meth:`stop` has
+        finished, and with it its cache writes."""
+        self._compile_pool.shutdown(wait=True)
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -693,6 +698,9 @@ def main(argv: list[str] | None = None) -> int:
         asyncio.run(serve())
     except KeyboardInterrupt:  # pragma: no cover - signal handler races
         pass
+    # A compile that was running at shutdown still stores its result:
+    # trim once it is done, or that entry would outlive the budget.
+    service.join()
     if cache is not None:
         cache.trim()
     return 0

@@ -26,16 +26,14 @@ coalesces on and the key the cache answers warm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.baselines import ALL_FRAMEWORKS
-from repro.core.compile_cache import CacheKey
 from repro.evaluation.harness import (
     FRAMEWORKS_BY_NAME,
     KERNEL_SIZES,
     PIPELINE_VARIANTS,
     BenchmarkCase,
-    EvaluationHarness,
     expand_matrix_slots,
 )
 from repro.fpga.device import ALVEO_U280, device_by_name
@@ -84,10 +82,6 @@ class RequestSpec:
             BenchmarkCase(case.kernel, case.size, name, case.variant)
             for case, name in expand_matrix_slots(expanded, list(self.frameworks))
         ]
-
-    def result_keys(self, harness: EvaluationHarness) -> list[CacheKey]:
-        """Result-stage cache keys of every expanded case, stream order."""
-        return [harness.result_key(case) for case in self.cases()]
 
     def as_dict(self) -> dict[str, Any]:
         """The canonical JSON form (what the server echoes back)."""
@@ -236,7 +230,7 @@ def parse_request(payload: Any) -> RequestSpec:
     return spec
 
 
-def request_digest(spec: RequestSpec, harness: EvaluationHarness) -> str:
+def request_digest(case_digests: Iterable[str]) -> str:
     """Content address of one request: a fingerprint over the *sorted*
     result-stage cache-key digests of its expanded cases.
 
@@ -245,6 +239,8 @@ def request_digest(spec: RequestSpec, harness: EvaluationHarness) -> str:
     repeat count — so digest equality means "the same compiled artefacts
     answer both requests", which is the exact condition under which the
     single-flight table may coalesce them.
+
+    >>> request_digest(["b", "a"]) == request_digest(["a", "b"])
+    True
     """
-    digests = sorted(key.digest("result") for key in spec.result_keys(harness))
-    return fingerprint_text("\x1f".join(digests))
+    return fingerprint_text("\x1f".join(sorted(case_digests)))

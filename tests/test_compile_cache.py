@@ -1,22 +1,18 @@
 """Tests for the content-addressed compile cache and cache-aware harness."""
 
 import gc
+import inspect
 import threading
+from dataclasses import replace
 
 import pytest
 
 from repro.core.compile_cache import CacheKey, CompileCache, _ensure_pickle_recursion_floor
-from repro.core.config import CompilerOptions
 from repro.core.pipeline import StencilHMLSCompiler
-from repro.evaluation.harness import (
-    PIPELINE_VARIANTS,
-    STAGED_PIPELINE,
-    BenchmarkCase,
-    EvaluationHarness,
-)
+from repro.evaluation.harness import BenchmarkCase, EvaluationHarness
+from repro.evaluation.report import results_to_json
 from repro.ir.hashing import module_hash
 from repro.ir.pass_registry import canonical_pipeline_spec
-from repro.ir.printer import print_module
 from repro.kernels.grids import PW_ADVECTION_SIZES
 from repro.kernels.pw_advection import build_pw_advection
 
@@ -26,179 +22,151 @@ def module():
     return build_pw_advection(PW_ADVECTION_SIZES["8M"].shape)
 
 
+#: One pinned Stencil-HMLS case: one slot, one ``result`` entry.
+HMLS_8M = [BenchmarkCase("pw_advection", PW_ADVECTION_SIZES["8M"], "Stencil-HMLS")]
+
+
+def _report(results) -> str:
+    return results_to_json(results, deterministic=True)
+
+
 class TestCacheKey:
     def test_digest_depends_on_every_component(self):
-        base = CacheKey("m", "p", "o", "e")
-        assert base.digest("s") == CacheKey("m", "p", "o", "e").digest("s")
+        base = CacheKey("m", "p", "e")
+        assert base.digest("s") == CacheKey("m", "p", "e").digest("s")
         for variation in (
-            CacheKey("m2", "p", "o", "e"),
-            CacheKey("m", "p2", "o", "e"),
-            CacheKey("m", "p", "o2", "e"),
-            CacheKey("m", "p", "o", "e2"),
+            CacheKey("m2", "p", "e"),
+            CacheKey("m", "p2", "e"),
+            CacheKey("m", "p", "e2"),
         ):
             assert variation.digest("s") != base.digest("s")
         assert base.digest("other-stage") != base.digest("s")
 
-    def test_pipeline_options_never_collide(self, module):
+    def test_pipeline_options_never_collide(self):
         """Regression: `stencil-to-hls{pack=0}` vs `{pack=1}` must produce
         distinct cache keys — the full canonicalised pipeline spec including
         pass options participates in the key."""
-        packed = StencilHMLSCompiler(
-            pass_pipeline="canonicalize,convert-stencil-to-hls{pack=1},convert-hls-to-llvm"
+        harness = EvaluationHarness(repeats=1)
+        packed, unpacked = (
+            harness.result_key(replace(
+                HMLS_8M[0],
+                variant=f"canonicalize,convert-stencil-to-hls{{pack={pack}}},convert-hls-to-llvm",
+            ))
+            for pack in (1, 0)
         )
-        unpacked = StencilHMLSCompiler(
-            pass_pipeline="canonicalize,convert-stencil-to-hls{pack=0},convert-hls-to-llvm"
+        assert packed.pipeline != unpacked.pipeline
+        assert packed.digest("result") != unpacked.digest("result")
+
+    def test_pack_variants_cached_separately(self, tmp_path):
+        """End to end: evaluating both pack variants through one cache must
+        yield two distinct results, not one spurious hit."""
+        variants = [
+            f"canonicalize,convert-stencil-to-hls{{pack={pack}}},convert-hls-to-llvm"
+            for pack in (1, 0)
+        ]
+        cache = CompileCache(tmp_path)
+        harness = EvaluationHarness(repeats=1, cache=cache)
+        results = harness.run_matrix(
+            cases=[replace(HMLS_8M[0], variant=variant) for variant in variants]
         )
-        key_packed = packed.cache_key(module)
-        key_unpacked = unpacked.cache_key(module)
-        assert key_packed.pipeline != key_unpacked.pipeline
-        assert key_packed.digest("middle-end") != key_unpacked.digest("middle-end")
+        assert cache.stats.hits["result"] == 0
+        assert cache.stats.stores["result"] == 2
+        assert [result.variant for result in results] == variants
 
-    def test_pack_variants_cached_separately(self, module, tmp_path):
-        """End to end: compiling both pack variants through one cache must
-        yield two distinct artefacts, not one spurious hit."""
-        cache = CompileCache(tmp_path)
-        results = {}
-        for pack in (1, 0):
-            compiler = StencilHMLSCompiler(
-                pass_pipeline=f"canonicalize,convert-stencil-to-hls{{pack={pack}}},convert-hls-to-llvm",
-                cache=cache,
-            )
-            results[pack] = compiler.compile(module)
-        # The variants must never share middle-end or synthesis artefacts.
-        assert cache.stats.hits["middle-end"] == 0
-        assert cache.stats.hits["synthesis"] == 0
-        assert cache.stats.misses["middle-end"] == 2
-        assert results[1].design.interfaces != results[0].design.interfaces
+    def test_alias_spelling_shares_one_entry(self, tmp_path):
+        """A request names a raw pipeline by its canonical spec, so two
+        spellings of one pipeline address one result."""
+        from repro.service.spec import parse_request
 
-    def test_alias_spelling_shares_one_entry(self, module, tmp_path):
-        cache = CompileCache(tmp_path)
         spellings = (
             "canonicalize,convert-stencil-to-hls,convert-hls-to-llvm",
             "canonicalize,stencil-to-hls,hls-to-llvm",
         )
         assert canonical_pipeline_spec(spellings[0]) == canonical_pipeline_spec(spellings[1])
+        cache = CompileCache(tmp_path)
+        harness = EvaluationHarness(repeats=1, cache=cache)
         for spec in spellings:
-            StencilHMLSCompiler(pass_pipeline=spec, cache=cache).compile(module)
-        assert cache.stats.hits["middle-end"] == 1
-
-    def test_compiler_options_participate(self, module):
-        default = StencilHMLSCompiler()
-        wide = StencilHMLSCompiler(CompilerOptions(stream_depth=32))
-        assert default.cache_key(module) != wide.cache_key(module)
+            request = parse_request({"kernel": "pw_advection", "size": "8M", "variant": spec})
+            harness.run_matrix(cases=request.cases())
+        assert cache.stats.stores["result"] == 1
+        assert cache.stats.hits["result"] == 1
 
 
 class TestCompilerCache:
-    def test_second_compile_hits_both_stages(self, module):
-        cache = CompileCache()
-        compiler = StencilHMLSCompiler(cache=cache)
-        first = compiler.compile(module)
-        second = compiler.compile(module)
-        assert cache.stats.hits["middle-end"] == 1
-        assert cache.stats.hits["synthesis"] == 1
-        assert first.summary() == second.summary()
-        assert print_module(first.llvm_module) == print_module(second.llvm_module)
-        assert print_module(first.hls_module) == print_module(second.hls_module)
+    """The compiler caches nothing; whole results carry the cache's
+    guarantees (disk tier, one entry per case, corrupt entries miss)."""
 
-    def test_cached_statistics_are_marked(self, module):
-        compiler = StencilHMLSCompiler(cache=CompileCache())
-        compiler.compile(module)
-        cold_stats = list(compiler.pass_statistics)
-        compiler.compile(module)
-        assert all(stat.note == "cached" for stat in compiler.pass_statistics)
-        assert [s.name for s in compiler.pass_statistics] == [s.name for s in cold_stats]
-
-    def test_hit_returns_independent_modules(self, module):
-        """Mutating a cache-hit artefact must not corrupt later hits."""
-        compiler = StencilHMLSCompiler(cache=CompileCache())
-        compiler.compile(module)
-        second = compiler.compile(module)
-        for op in list(second.llvm_module.walk()):
-            if op is not second.llvm_module:
-                op.drop_all_references()
-        third = compiler.compile(module)
-        assert print_module(third.llvm_module) != print_module(second.llvm_module)
-
-    def test_disk_tier_survives_new_cache_instance(self, module, tmp_path):
-        warm = StencilHMLSCompiler(cache=CompileCache(tmp_path))
-        baseline = warm.compile(module)
-        fresh_cache = CompileCache(tmp_path)  # models a fresh process
-        compiler = StencilHMLSCompiler(cache=fresh_cache)
-        hit = compiler.compile(module)
-        assert fresh_cache.stats.total_misses == 0
-        assert fresh_cache.stats.hits["middle-end"] == 1
-        assert hit.summary() == baseline.summary()
-        assert print_module(hit.llvm_module) == print_module(baseline.llvm_module)
-
-    def test_cache_stores_only_whole_pipeline_stages(self, module, tmp_path):
-        """Two ablation variants sharing their first six passes store one
-        middle-end and one synthesis entry each, and the second compile
-        runs its whole pipeline: nothing is stored or resumed per pass."""
-        cache = CompileCache(tmp_path)
-        StencilHMLSCompiler(pass_pipeline=STAGED_PIPELINE, cache=cache).compile(module)
-        ablated = StencilHMLSCompiler(
-            pass_pipeline=PIPELINE_VARIANTS["single-bundle-staged"], cache=cache
+    def test_disk_tier_survives_new_cache_instance(self, tmp_path):
+        baseline = EvaluationHarness(repeats=1, cache=CompileCache(tmp_path)).run_matrix(
+            cases=HMLS_8M
         )
-        ablated.compile(module)
-        assert dict(cache.stats.stores) == {"middle-end": 2, "synthesis": 2}
-        assert len(ablated.pass_statistics) == 8
-        assert all(stat.note == "" for stat in ablated.pass_statistics)
+        fresh_cache = CompileCache(tmp_path)  # models a fresh process
+        hit = EvaluationHarness(repeats=1, cache=fresh_cache).run_matrix(cases=HMLS_8M)
+        assert fresh_cache.stats.total_misses == 0
+        assert fresh_cache.stats.hits["result"] == 1
+        assert [r.as_dict() for r in hit] == [r.as_dict() for r in baseline]
 
-    def test_middle_end_shared_across_devices(self, module):
-        from repro.fpga.device import VCK5000
-
-        cache = CompileCache()
-        StencilHMLSCompiler(cache=cache).compile(module)
-        other_device = StencilHMLSCompiler(device=VCK5000, cache=cache)
-        other_device.compile(module)
-        assert cache.stats.hits["middle-end"] == 1     # pipeline output reused
-        assert cache.stats.misses["synthesis"] == 2    # designs are per-device
+    def test_cache_stores_only_whole_pipeline_stages(self, tmp_path):
+        """Two ablation variants sharing their first six passes store one
+        result entry each, and the second runs its whole pipeline: nothing
+        is stored or resumed per pass or per compiler stage."""
+        cache = CompileCache(tmp_path)
+        harness = EvaluationHarness(repeats=1, cache=cache)
+        staged, ablated = harness.run_matrix(cases=[
+            replace(HMLS_8M[0], variant="staged"),
+            replace(HMLS_8M[0], variant="single-bundle-staged"),
+        ])
+        assert dict(cache.stats.stores) == {"result": 2}
+        assert len(ablated.pass_statistics) == len(staged.pass_statistics) == 8
 
     #: A pickle naming a global that no longer exists, like the attribute
     #: references the retired shared intern table wrote.
     STALE_GLOBAL = b"crepro.ir.interning\nresolve_shared\n(S'0123'\ntR."
 
-    def test_corrupt_disk_entry_is_a_miss(self, module, tmp_path):
-        baseline = StencilHMLSCompiler(cache=CompileCache(tmp_path)).compile(module)
+    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
+        baseline = EvaluationHarness(repeats=1, cache=CompileCache(tmp_path)).run_matrix(
+            cases=HMLS_8M
+        )
         for payload in (b"not a pickle", self.STALE_GLOBAL):
             for entry in tmp_path.rglob("*.pkl"):
                 entry.write_bytes(payload)
             fresh = CompileCache(tmp_path)
-            rebuilt = StencilHMLSCompiler(cache=fresh).compile(module)
+            rebuilt = EvaluationHarness(repeats=1, cache=fresh).run_matrix(cases=HMLS_8M)
             assert fresh.stats.total_hits == 0
             assert fresh.stats.errors > 0
-            assert fresh.stats.stores["middle-end"] == 1  # recompiled
-            assert rebuilt.summary() == baseline.summary()
+            assert fresh.stats.stores["result"] == 1  # evaluated again
+            assert _report(rebuilt) == _report(baseline)
 
-    def test_entry_naming_a_deleted_class_is_a_miss(self, module, tmp_path):
-        """Upgrade path: a middle-end entry pickled by an older tree names a
-        class that no longer exists (the notifying attribute dict ops used
-        to carry).  It is a counted miss, the compile succeeds, and the
-        recompile overwrites the entry with one that loads."""
+    def test_entry_naming_a_deleted_class_is_a_miss(self, tmp_path):
+        """Upgrade path: an entry pickled by an older tree names a class
+        that no longer exists (the notifying attribute dict ops used to
+        carry).  It is a counted miss, the case is evaluated again, and
+        the new result overwrites the entry with one that loads."""
         stale = b"crepro.ir.core\n_AttributeDict\n)\x81."
-        compiler = StencilHMLSCompiler(cache=CompileCache(tmp_path))
-        baseline = compiler.compile(module)
-        digest = compiler.cache_key(module).digest("middle-end")
+        harness = EvaluationHarness(repeats=1, cache=CompileCache(tmp_path))
+        baseline = harness.run_matrix(cases=HMLS_8M)
+        digest = harness.result_key(HMLS_8M[0]).digest("result")
         entry = tmp_path / digest[:2] / f"{digest}.pkl"
         entry.write_bytes(stale)
 
         fresh = CompileCache(tmp_path)
-        rebuilt = StencilHMLSCompiler(cache=fresh).compile(module)
+        rebuilt = EvaluationHarness(repeats=1, cache=fresh).run_matrix(cases=HMLS_8M)
         assert fresh.stats.errors == 1
-        assert fresh.stats.misses["middle-end"] == 1
-        assert fresh.stats.stores["middle-end"] == 1
-        assert rebuilt.summary() == baseline.summary()
+        assert fresh.stats.misses["result"] == 1
+        assert fresh.stats.stores["result"] == 1
+        assert _report(rebuilt) == _report(baseline)
 
         assert entry.read_bytes() != stale
         again = CompileCache(tmp_path)
-        StencilHMLSCompiler(cache=again).compile(module)
-        assert again.stats.hits["middle-end"] == 1
+        EvaluationHarness(repeats=1, cache=again).run_matrix(cases=HMLS_8M)
+        assert again.stats.hits["result"] == 1
         assert again.stats.errors == 0
 
     def test_no_cache_means_no_stats(self, module):
         compiler = StencilHMLSCompiler()
         compiler.compile(module)
-        assert compiler.cache is None
+        assert "cache" not in inspect.signature(StencilHMLSCompiler).parameters
+        assert not hasattr(compiler, "cache")
 
 
 class TestHarnessResultCache:

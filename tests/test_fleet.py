@@ -99,8 +99,8 @@ class TestChaosKillAndSteal:
         )
 
     def test_crash_after_full_manifest_is_recovered(self, tmp_path):
-        """A worker killed *after* manifesting its last case (e.g. while
-        writing the shard results file) loses nothing: the manifest is the
+        """A worker killed *after* manifesting its last case (e.g. before it
+        reports the shard finished) loses nothing: the manifest is the
         merge source, so the sweep still exits 0 with a full report."""
         cases = _baseline_cases()
         plan = plan_matrix(cases, shards=2)
@@ -118,6 +118,47 @@ class TestChaosKillAndSteal:
         assert (tmp_path / "merged.json").read_text() == _serial_report(cases)
         events = read_events(tmp_path / "events.jsonl")
         assert not [e for e in events if e["event"] == "shard_requeued"]
+
+    def test_victim_manifested_case_is_a_result_hit_in_a_fresh_state_dir(self, tmp_path):
+        """A result reaches the cache before its case is manifested, so the
+        case a SIGKILLed worker manifested is served from the cache by a
+        sweep in a fresh state directory, not evaluated again."""
+        cases = _baseline_cases()
+        cache_dir = str(tmp_path / "cache")
+        events_path = tmp_path / "events.jsonl"
+        code, _ = orchestrate(
+            plan_matrix(cases, shards=1),
+            state_dir=tmp_path / "state",
+            launcher=SubprocessLauncher(),
+            cache_dir=cache_dir,
+            events=EventWriter(events_path),
+            retry_backoff=0.0,
+            chaos_kill_shard=1,
+            chaos_kill_after=1,
+        )
+        assert code == 0
+        events = read_events(events_path)
+        assert "chaos_kill" in [e["event"] for e in events]
+        victim = {
+            e["digest"] for e in events if e["event"] == "case_finished" and e["shard"] == 1
+        }
+        assert len(victim) == 1
+
+        rerun_path = tmp_path / "rerun.jsonl"
+        code, _ = orchestrate(
+            plan_matrix(cases, shards=1),
+            state_dir=tmp_path / "fresh-state",
+            launcher="local",
+            cache_dir=cache_dir,
+            events=EventWriter(rerun_path),
+        )
+        assert code == 0
+        served = {
+            e["digest"]
+            for e in read_events(rerun_path)
+            if e["event"] == "case_finished" and e["cached"]
+        }
+        assert victim <= served
 
 
 class _SleepyLauncher(SubprocessLauncher):

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.compile_cache import CompileCache
-from repro.evaluation.harness import EvaluationHarness
+from repro.evaluation.harness import ABLATION_VARIANTS, EvaluationHarness
 from repro.fpga.device import ALVEO_U280
 from repro.service import (
     RequestFailed,
@@ -449,4 +449,40 @@ class TestKillTheServer:
             if proc.poll() is None:  # pragma: no cover - cleanup on failure
                 proc.kill()
                 proc.wait(timeout=30)
+        assert not list((tmp_path / "cache").rglob("*.pkl"))
+
+    def test_sigterm_mid_compile_still_trims_the_cache(self, tmp_path):
+        """A compile still running at SIGTERM stores its result after the
+        loop has stopped; the server trims only once that compile is done,
+        so ``--cache-max-bytes 0`` leaves no entry behind."""
+        spec = {
+            "kernel": "tracer_advection",
+            "size": "8M",
+            "variants": list(ABLATION_VARIANTS[:7]),
+        }
+        manifest = tmp_path / "state" / "manifest-service.jsonl"
+        proc, client = self._spawn(tmp_path, "--cache-max-bytes", "0")
+
+        def stream() -> None:
+            try:
+                client.compile(spec)
+            except (StreamInterrupted, ConnectionError, OSError):
+                pass  # the server goes away mid-stream
+
+        streamer = threading.Thread(target=stream, daemon=True)
+        try:
+            streamer.start()
+            # The first case is done and the next one is compiling.
+            _wait_until(
+                lambda: manifest.exists() and manifest.read_text().strip(),
+                timeout=60, message="first manifested case",
+            )
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:  # pragma: no cover - cleanup on failure
+                proc.kill()
+                proc.wait(timeout=30)
+            streamer.join(timeout=30)
+        assert len(manifest.read_text().strip().splitlines()) < len(spec["variants"])
         assert not list((tmp_path / "cache").rglob("*.pkl"))

@@ -13,9 +13,9 @@ from repro.core.pipeline import StencilHMLSCompiler
 from repro.evaluation.harness import EvaluationHarness
 from repro.service.server import CompileService
 
-#: Each CLI's ``main(argv)`` with an argv that would otherwise start work.
+#: Each cache-flag CLI's ``main(argv)`` with an argv that would otherwise
+#: start work (``shmls-compile`` keeps no cache and takes no cache flags).
 CLIS = {
-    "shmls-compile": (cli.main_compile, ["pw_advection"]),
     "shmls-bench": (cli.main_bench, ["--quick", "--repeats", "1"]),
     "shmls-orchestrate": (cli.main_orchestrate, ["--quick", "--state-dir", "{tmp}/state"]),
     "shmls-serve": (cli.main_serve, ["--port", "0", "--state-dir", "{tmp}/state"]),
