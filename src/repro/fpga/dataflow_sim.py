@@ -21,7 +21,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.core.plan import DataflowPlan
-from repro.dialects import hls, llvm as llvm_d
+from repro.dialects import hls, llvm as llvm_d, scf
 from repro.dialects.builtin import ModuleOp
 from repro.interp.interpreter import Interpreter, InterpreterError, Step
 from repro.ir.core import Operation, SSAValue
@@ -31,7 +31,12 @@ from repro.runtime.streams import FIFOStream
 
 
 class HLSInterpreter(Interpreter):
-    """Interpreter extended with HLS-dialect and llvm aggregate semantics."""
+    """Interpreter extended with HLS-dialect and llvm aggregate semantics.
+
+    In a map loop (see :meth:`_map_body`) ``hls.read`` takes the next
+    trip-count items of its stream as one array, ``llvm.extractvalue``
+    takes a column of it and ``hls.write`` appends one item per iteration.
+    """
 
     def __init__(self, module: ModuleOp, externals: dict[str, Callable] | None = None) -> None:
         super().__init__(module, externals)
@@ -39,8 +44,6 @@ class HLSInterpreter(Interpreter):
         self.handlers.update(
             {
                 hls.CreateStreamOp: HLSInterpreter._create_stream,
-                hls.ReadOp: HLSInterpreter._stream_read,
-                hls.WriteOp: HLSInterpreter._stream_write,
                 hls.EmptyOp: HLSInterpreter._stream_empty,
                 hls.FullOp: HLSInterpreter._stream_full,
                 hls.PipelineOp: HLSInterpreter._directive,
@@ -55,11 +58,24 @@ class HLSInterpreter(Interpreter):
         )
 
     def _decode_op(self, op: Operation) -> Step:
-        # An extractvalue's container and position are constants of the op:
-        # read them once per run rather than once per point.
+        # An extractvalue's container and position, and a stream access's
+        # operands, are constants of the op: read them once per run rather
+        # than once per point.
         if isinstance(op, llvm_d.ExtractValueOp):
             return HLSInterpreter._extract_value, (op.operands[0], op.position), op.results
+        if isinstance(op, hls.ReadOp):
+            return HLSInterpreter._stream_read, op.stream, op.results
+        if isinstance(op, hls.WriteOp):
+            return HLSInterpreter._stream_write, (op.stream, op.value), op.results
         return super()._decode_op(op)
+
+    def _map_body(self, op: scf.ForOp) -> list[Step] | None:
+        # Reading a stream twice, or reading and writing it, in one iteration
+        # interleaves its items across iterations; whole-array reads would not.
+        streams = [o.operands[0] for o in op.body.ops if isinstance(o, (hls.ReadOp, hls.WriteOp))]
+        if len(set(streams)) != len(streams):
+            return None
+        return super()._map_body(op)
 
     # -- HLS handlers ----------------------------------------------------------
 
@@ -71,11 +87,12 @@ class HLSInterpreter(Interpreter):
         self.streams.append(stream)
         return [stream]
 
-    def _stream_read(self, op: hls.ReadOp, env) -> list[Any]:
-        return [env[op.stream].read()]
+    def _stream_read(self, stream: SSAValue, env) -> list[Any]:
+        return [env[stream].read()]
 
-    def _stream_write(self, op: hls.WriteOp, env) -> list[Any]:
-        env[op.stream].write(env[op.value])
+    def _stream_write(self, decoded: tuple[SSAValue, SSAValue], env) -> list[Any]:
+        stream, value = decoded
+        env[stream].write(env[value])
         return []
 
     def _stream_empty(self, op: hls.EmptyOp, env) -> list[Any]:
@@ -112,6 +129,58 @@ class HLSInterpreter(Interpreter):
 
     def _llvm_constant(self, op: llvm_d.ConstantOp, env) -> list[Any]:
         return [op.value]
+
+    # -- array handlers (map loop bodies) ----------------------------------------
+
+    def _map_read(self, op: hls.ReadOp, loop: scf.ForOp, varying: set[SSAValue]) -> Step:
+        varying.add(op.result)
+        return HLSInterpreter._read_rows, (op.stream, loop.induction_variable), op.results
+
+    def _read_rows(self, decoded: tuple[SSAValue, SSAValue], env) -> list[Any]:
+        stream, induction_variable = decoded
+        return [np.asarray(env[stream].read_many(len(env[induction_variable])))]
+
+    def _map_write(self, op: hls.WriteOp, loop: scf.ForOp, varying: set[SSAValue]) -> Step:
+        if op.value in varying:
+            return HLSInterpreter._write_rows, (op.stream, op.value), op.results
+        decoded = (op.stream, op.value, loop.induction_variable)
+        return HLSInterpreter._write_repeated, decoded, op.results
+
+    def _write_rows(self, decoded: tuple[SSAValue, SSAValue], env) -> list[Any]:
+        stream, value = decoded
+        rows = env[value]
+        # Scalars go out as Python numbers, as one iteration's write would.
+        env[stream].extend(rows.tolist() if rows.ndim == 1 else rows)
+        return []
+
+    def _write_repeated(self, decoded: tuple[SSAValue, SSAValue, SSAValue], env) -> list[Any]:
+        stream, value, induction_variable = decoded
+        env[stream].extend([env[value]] * len(env[induction_variable]))
+        return []
+
+    def _map_extract(
+        self, op: llvm_d.ExtractValueOp, loop: scf.ForOp, varying: set[SSAValue]
+    ) -> Step:
+        container = op.operands[0]
+        if container not in varying:
+            return self._decode_op(op)
+        return HLSInterpreter._column, (container, (slice(None), *op.position)), op.results
+
+    def _column(self, decoded: tuple[SSAValue, tuple], env) -> list[Any]:
+        container, index = decoded
+        return [env[container][index]]
+
+
+HLSInterpreter.array_handlers = {
+    **Interpreter.array_handlers,
+    hls.ReadOp: HLSInterpreter._map_read,
+    hls.WriteOp: HLSInterpreter._map_write,
+    llvm_d.ExtractValueOp: HLSInterpreter._map_extract,
+    **{
+        directive: Interpreter._once
+        for directive in (hls.PipelineOp, hls.UnrollOp, hls.ArrayPartitionOp, hls.InterfaceOp)
+    },
+}
 
 
 class FunctionalDataflowSimulator:

@@ -1,8 +1,12 @@
 """A reference interpreter for the stencil / scf / arith level IR.
 
-The interpreter is deliberately simple — straight per-point Python execution
-over numpy buffers — because its only job is to provide a trusted semantics
-against which the compiler's lowerings are validated on small grids.
+The interpreter is deliberately simple — it walks each block's ops in
+Python over numpy buffers — because its only job is to provide a trusted
+semantics against which the compiler's lowerings are validated on small
+grids.  One shortcut keeps the functional simulator affordable: an
+``scf.for`` whose iterations are independent (a *map*, see
+:meth:`Interpreter._map_body`) runs its body once over arrays as long as
+its trip count; every other loop runs one iteration at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from repro.ir.core import Block, Operation, SSAValue
 from repro.dialects import arith, math as math_d, memref as memref_d, scf, stencil
 from repro.dialects.builtin import ModuleOp, UnrealizedConversionCastOp
 from repro.dialects.func import CallOp, FuncOp, ReturnOp
+from repro.ir.attributes import StringAttr
 from repro.ir.types import FloatType, IndexType, IntegerType, MemRefType
 
 
@@ -62,15 +67,26 @@ Step = tuple[Callable, Any, Sequence[SSAValue]]
 #: operands (``None`` for a block without one).
 DecodedBlock = tuple[list[Step], tuple[SSAValue, ...] | None]
 
+#: An array handler: given an op of a map loop's body, the loop and the
+#: values found to vary so far, the step that runs the op once for all
+#: iterations (see :meth:`Interpreter._map_body`).
+ArrayHandler = Callable[["Interpreter", Operation, scf.ForOp, set[SSAValue]], Step]
+
 
 class Interpreter:
     """Executes functions in a module on concrete numpy / scalar arguments.
 
     Each block is decoded once per :meth:`run`, on first entry, into the
     steps up to its terminator; executing the block then walks the steps.
-    The decoded blocks are dropped when the run ends, so a module mutated
-    between runs executes as it then stands.
+    Each ``scf.for`` is tested once per run for being a map, and the
+    module's symbols are looked up in a table built when the run starts.
+    All of this is dropped when the run ends, so a module mutated between
+    runs executes as it then stands.
     """
+
+    #: How each op of a map loop's body runs once for all iterations; a
+    #: loop whose body holds an op missing here runs one iteration at a time.
+    array_handlers: dict[type, ArrayHandler] = {}  # filled in below the class
 
     def __init__(self, module: ModuleOp, externals: dict[str, Callable] | None = None) -> None:
         self.module = module
@@ -79,18 +95,25 @@ class Interpreter:
         # functional simulator) can register handlers for additional dialects.
         self.handlers: dict[type, Callable] = dict(_HANDLERS)
         self._decoded: dict[Block, DecodedBlock] = {}
+        self._maps: dict[scf.ForOp, list[Step] | None] = {}
+        self._symbols: dict[str, Operation] = {}
 
     # -- public API -----------------------------------------------------------
 
     def run(self, func_name: str, *args: Any) -> list[Any]:
-        func = self.module.get_symbol(func_name)
+        symbols: dict[str, Operation] = {}
+        for op in self.module.body.ops:
+            sym = op.attributes.get("sym_name")
+            if isinstance(sym, StringAttr):
+                symbols.setdefault(sym.data, op)     # the first one wins, as in get_symbol
+        func = symbols.get(func_name)
         if not isinstance(func, FuncOp):
             raise InterpreterError(f"no function named '{func_name}' in module")
-        self._decoded = {}
+        self._decoded, self._maps, self._symbols = {}, {}, symbols
         try:
             return self._run_func(func, list(args))
         finally:
-            self._decoded = {}
+            self._decoded, self._maps, self._symbols = {}, {}, {}
 
     # -- function / block execution -------------------------------------------
 
@@ -117,12 +140,15 @@ class Interpreter:
         if decoded is None:
             decoded = self._decoded[block] = self._decode(block)
         steps, terminator = decoded
+        self._walk(steps, env)
+        return [env[o] for o in terminator] if terminator is not None else []
+
+    def _walk(self, steps: list[Step], env: dict[SSAValue, Any]) -> None:
         for handler, arg, results in steps:
             values = handler(self, arg, env)
             if values:
                 for res, value in zip(results, values):
                     env[res] = value
-        return [env[o] for o in terminator] if terminator is not None else []
 
     # -- op dispatch ------------------------------------------------------------
 
@@ -237,6 +263,14 @@ class Interpreter:
         lb = int(env[op.lower_bound])
         ub = int(env[op.upper_bound])
         step = int(env[op.step])
+        iterations = range(lb, ub, step)
+        if op not in self._maps:
+            self._maps[op] = self._map_body(op)
+        array_steps = self._maps[op]
+        if array_steps is not None:
+            if iterations:
+                self._run_map(array_steps, op.induction_variable, np.arange(lb, ub, step), env)
+            return []
         carried = [env[a] for a in op.iter_args]
         body, induction_variable, body_args = op.body, op.induction_variable, op.body_iter_args
         # One copy per loop keeps the body's values out of ``env``.  Sharing
@@ -244,12 +278,53 @@ class Interpreter:
         # reads only values it defined itself, the induction variable and
         # the iteration arguments, and those are rebound first.
         local = dict(env)
-        for iv in range(lb, ub, step):
+        for iv in iterations:
             local[induction_variable] = iv
             for arg, value in zip(body_args, carried):
                 local[arg] = value
             carried = self._run_block(body, local)
         return carried
+
+    def _map_body(self, op: scf.ForOp) -> list[Step] | None:
+        """The steps that run ``op``'s body once for all its iterations, or
+        ``None`` if the loop is not a map.
+
+        A map has no iteration arguments, and its body is one block whose
+        ops up to the terminator have no regions and each have an entry in
+        :attr:`array_handlers`.  None of those ops stores to memory or
+        calls a function, so the iterations are independent (cf. the
+        contract of ``scf.parallel``) and the body can run once with the
+        induction variable bound to all its values.  A value *varies* if it
+        is the induction variable, is computed from a varying value or
+        comes from an op that yields one item per iteration (``hls.read``);
+        it is then an array with one entry per iteration along its first
+        axis.  Every other value is loop-invariant and keeps the form it
+        has in one iteration.  ``HLSInterpreter`` also requires each stream
+        to be touched by at most one ``hls.read`` or ``hls.write``.
+        """
+        if op.iter_args or len(op.regions[0].blocks) != 1:
+            return None
+        varying = {op.induction_variable}
+        steps: list[Step] = []
+        for body_op in op.body.ops:
+            if isinstance(body_op, _TERMINATORS):
+                break
+            array_handler = self.array_handlers.get(type(body_op))
+            if array_handler is None or body_op.regions:
+                return None
+            steps.append(array_handler(self, body_op, op, varying))
+            if not varying.isdisjoint(body_op.operands):
+                varying.update(body_op.results)
+        return steps
+
+    def _run_map(
+        self, steps: list[Step], induction_variable: SSAValue, values: np.ndarray, env
+    ) -> None:
+        local = dict(env)
+        local[induction_variable] = values
+        # Python floats overflow to inf and make NaNs silently; numpy warns.
+        with np.errstate(all="ignore"):
+            self._walk(steps, local)
 
     def _if(self, op: scf.IfOp, env) -> list[Any]:
         block = op.then_block if env[op.condition] else op.else_block
@@ -279,7 +354,7 @@ class Interpreter:
     # func ----------------------------------------------------------------------
 
     def _call(self, op: CallOp, env) -> list[Any]:
-        callee = self.module.get_symbol(op.callee)
+        callee = self._symbols.get(op.callee)
         args = [env[o] for o in op.operands]
         if isinstance(callee, FuncOp):
             return self._run_func(callee, args)
@@ -336,6 +411,37 @@ class Interpreter:
 
     def _unrealized_cast(self, op: UnrealizedConversionCastOp, env) -> list[Any]:
         return [env[op.input]]
+
+    # array handlers (map loop bodies) ---------------------------------------------
+
+    def _once(self, op: Operation, loop: scf.ForOp, varying: set[SSAValue]) -> Step:
+        """For ops that take no varying operand, or do nothing: run once, as
+        one iteration would."""
+        return self._decode_op(op)
+
+    def _map_binary(self, op: Operation, loop: scf.ForOp, varying: set[SSAValue]) -> Step:
+        lhs, rhs = op.operands
+        divides = op.name if isinstance(op, _DIVISIONS) else None
+        return Interpreter._binary_array, (lhs, rhs, type(op).py_func, divides), op.results
+
+    def _binary_array(self, decoded: tuple, env) -> list[Any]:
+        # Varying integers are int64 arrays, which wrap where Python ints
+        # grow; a stencil loop's index arithmetic stays far inside that range.
+        lhs, rhs, py_func, divides = decoded
+        divisor = env[rhs]
+        # Python raises on a zero divisor where numpy returns 0 or inf.
+        if divides and np.any(divisor == 0):
+            raise ZeroDivisionError(f"{divides}: division by zero")
+        return [py_func(env[lhs], divisor)]
+
+    def _map_load(self, op: memref_d.LoadOp, loop: scf.ForOp, varying: set[SSAValue]) -> Step:
+        if varying.isdisjoint(op.indices):
+            return self._decode_op(op)
+        return Interpreter._gather, (op.memref, tuple(op.indices)), op.results
+
+    def _gather(self, decoded: tuple[SSAValue, tuple[SSAValue, ...]], env) -> list[Any]:
+        memref, indices = decoded
+        return [env[memref][tuple(env[i] for i in indices)]]
 
 
 @dataclass
@@ -484,6 +590,21 @@ for _binary_cls in arith.BINARY_OPS:
     _HANDLERS[_binary_cls] = Interpreter._binary
 for _unary_cls in math_d.UNARY_OPS:
     _HANDLERS[_unary_cls] = Interpreter._unary_math
+
+#: The binary ops whose ``py_func`` also applies elementwise to numpy arrays
+#: (``max``/``min``, those of the maximum/minimum ops, do not), with Python's
+#: floor semantics for ``//`` and ``%``.
+_ARRAY_BINARY_OPS = (
+    arith.AddfOp, arith.SubfOp, arith.MulfOp, arith.DivfOp,
+    arith.AddiOp, arith.SubiOp, arith.MuliOp, arith.DivsiOp, arith.RemsiOp,
+)
+_DIVISIONS = (arith.DivfOp, arith.DivsiOp, arith.RemsiOp)
+
+Interpreter.array_handlers = {
+    arith.ConstantOp: Interpreter._once,
+    memref_d.LoadOp: Interpreter._map_load,
+    **{cls: Interpreter._map_binary for cls in _ARRAY_BINARY_OPS},
+}
 
 
 def interpret_stencil_module(

@@ -46,6 +46,35 @@ class FIFOStream:
         self._total_popped += 1
         return self._queue.popleft()
 
+    def read_many(self, count: int) -> list[Any]:
+        """Remove and return the next ``count`` elements in order (the
+        statistics match that many :meth:`read` calls); take none if fewer
+        are queued.
+
+        >>> stream = FIFOStream("s")
+        >>> stream.extend([1.0, 2.0, 3.0])
+        >>> stream.read_many(2), stream.total_popped, len(stream)
+        ([1.0, 2.0], 2, 1)
+        >>> stream.read_many(2)  # doctest: +ELLIPSIS
+        Traceback (most recent call last):
+            ...
+        repro.runtime.streams.StreamClosedError: stream 's': read of 2 elements with 1 queued ...
+        >>> stream.total_popped, len(stream)
+        (2, 1)
+        """
+        queue = self._queue
+        if count > len(queue):
+            raise StreamClosedError(
+                f"stream '{self.name}': read of {count} elements with {len(queue)} queued "
+                "(producer under-produced or stage ordering is wrong)"
+            )
+        self._total_popped += count
+        if count == len(queue):              # the usual case: a stage drains its input
+            items = list(queue)
+            queue.clear()
+            return items
+        return [queue.popleft() for _ in range(count)]
+
     # -- non-blocking queries -----------------------------------------------------
 
     def empty(self) -> bool:
@@ -68,11 +97,8 @@ class FIFOStream:
         return self._total_popped
 
     def drain(self) -> list[Any]:
-        """Remove and return all remaining elements (used by write_data)."""
-        items = list(self._queue)
-        self._total_popped += len(items)
-        self._queue.clear()
-        return items
+        """Remove and return all remaining elements."""
+        return self.read_many(len(self._queue))
 
     def extend(self, values: Iterable[Any]) -> None:
         """Write each of ``values`` in order (the statistics match that many

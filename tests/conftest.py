@@ -1,8 +1,8 @@
 """Shared fixtures.
 
-Functional simulations interpret IR point-by-point in Python, so every
-correctness fixture uses a deliberately tiny grid; the paper-scale problem
-sizes are exercised through the analytic models only (see benchmarks/).
+Functional simulations interpret IR in Python, so every correctness
+fixture uses a deliberately tiny grid; the paper-scale problem sizes are
+exercised through the analytic models only (see benchmarks/).
 """
 
 from __future__ import annotations

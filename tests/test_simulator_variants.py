@@ -3,9 +3,12 @@
 Each ``PIPELINE_VARIANTS`` entry is compiled once per session for
 pw_advection and tracer_advection on ``SMALL_SHAPE`` and run by
 :class:`~repro.fpga.dataflow_sim.FunctionalDataflowSimulator`; its output
-fields must match :mod:`repro.kernels.reference`.  For the default and the
-staged pipeline the outputs must also be bit-identical to a run on the
-per-point data movers in ``reference_data_movers``.
+fields must match :mod:`repro.kernels.reference`.  Every compute stage must
+run as a map loop, and every array must be bit-identical to a run with each
+loop executed one iteration at a time.  For the default and the staged
+pipeline the outputs must also be bit-identical to a run on the per-point
+data movers in ``reference_data_movers``.  The default pipeline of both
+kernels is also checked against the reference on a 16×16×8 grid.
 """
 
 from __future__ import annotations
@@ -103,3 +106,37 @@ def test_per_point_movers_give_bit_identical_outputs(kernel, variant, designs, m
     assert simulated.keys() == per_point.keys()
     for name, values in per_point.items():
         assert np.array_equal(simulated[name], values), name
+
+
+@pytest.mark.parametrize("variant", list(PIPELINE_VARIANTS))
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_map_loops_give_bit_identical_outputs(kernel, variant, designs, monkeypatch):
+    xclbin, arrays, scalars, _ = designs(kernel, variant)
+    per_point_reads = []
+    stream_read = dataflow_sim.HLSInterpreter._stream_read
+
+    def counted_read(interp, stream, env):
+        per_point_reads.append(stream)
+        return stream_read(interp, stream, env)
+
+    monkeypatch.setattr(dataflow_sim.HLSInterpreter, "_stream_read", counted_read)
+    mapped = _simulate(xclbin, arrays, scalars)
+    assert per_point_reads == []             # every compute stage ran as a map
+
+    monkeypatch.setattr(dataflow_sim.HLSInterpreter, "array_handlers", {})
+    per_iteration = _simulate(xclbin, arrays, scalars)
+    assert per_point_reads                   # ... and now one iteration at a time
+    assert mapped.keys() == per_iteration.keys()
+    for name, values in per_iteration.items():
+        assert np.array_equal(mapped[name], values), name
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_default_design_matches_the_numpy_reference_on_16x16x8(kernel):
+    shape = (16, 16, 8)
+    compiler = StencilHMLSCompiler(pass_pipeline=PIPELINE_VARIANTS["default"])
+    xclbin = compiler.compile(KERNEL_BUILDERS[kernel](shape))
+    arrays, scalars, expected = _problem(kernel, shape)
+    simulated = _simulate(xclbin, arrays, scalars)
+    for name, want in expected.items():
+        assert np.allclose(simulated[name], want), name
