@@ -12,23 +12,19 @@ device, repeats) — plus a *stage* name.  One stage is in use:
 a case is evaluated and reads back on warm runs.  The compiler itself
 caches nothing: every compile runs its whole pass pipeline once.
 
-The cache is tiered: a per-process in-memory store, an optional on-disk
-tier under ``cache_dir`` (written atomically so parallel evaluation
-workers can share one directory), and an optional *shared network tier*
-under ``remote_dir`` — any filesystem path several machines can mount
-(NFS, sshfs, a synced directory).  The remote tier is
-read-through/write-back: a local miss that hits the remote tier copies
-the artefact into the local tier, and fresh local stores are published
-back with the same atomic temp-file-then-rename protocol, so concurrent
-writers on different machines never observe torn entries.  Keys are
-content hashes, so cross-machine and cross-user dedup needs no
-coordination at all.  Hit/miss/store counts are recorded per stage and
-surfaced by the bench CLI, shard events and ``/stats``.
+The cache has two tiers: a per-process in-memory store and an optional
+on-disk tier under ``cache_dir``.  Disk entries are written to a temp file
+and renamed into place, so parallel evaluation workers can share one
+directory, a mounted one included, without ever reading a torn entry.
+Keys are content hashes, so sharing needs no other coordination.
+Hit/miss/store counts are recorded per stage and surfaced by the bench
+CLI, shard events and ``/stats``.
 
-Every entry is one pickle blob (``.pkl`` on disk).  A store pickles the
-value once and every tier keeps those bytes, the memory tier included;
-every hit unpickles a private copy, so callers may mutate what they
-stored or got back without cloning it first.
+Every entry is the JSON text of its value (``<digest>.json`` on disk).  A
+store encodes the value once and both tiers keep those bytes; every hit
+decodes a private copy, so callers may mutate what they stored or got back
+without cloning it first.  Unlike unpickling, decoding JSON runs no code,
+so whoever can write to a shared directory cannot make a reader run any.
 
 The CLIs that evaluate cases share one flag group
 (:func:`add_cache_arguments`) and one rule for what the flags mean
@@ -38,47 +34,14 @@ The CLIs that evaluate cases share one flag group
 from __future__ import annotations
 
 import argparse
-import gc
+import json
 import os
-import pickle
-import sys
 import tempfile
 import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
-
-#: Pickling an IR module recurses through its use-def web, whose depth grows
-#: with program length; the default interpreter limit (1000) is too small for
-#: the larger benchmark kernels.
-_PICKLE_RECURSION_LIMIT = 100_000
-
-_recursion_lock = threading.Lock()
-_recursion_floor_set = False
-
-#: ``gc.disable``/``gc.enable`` act on the whole process, so unpickles take
-#: turns: otherwise one thread's restore could re-enable the collector in
-#: the middle of another's, or leave it off for good.
-_gc_lock = threading.RLock()
-
-
-def _ensure_pickle_recursion_floor() -> None:
-    """Raise the process recursion limit to the pickling floor, once.
-
-    A set-once floor (never lowered, never restored) is reentrancy-safe:
-    the previous save/mutate/restore dance could clobber a parallel
-    caller's restore and leave the process at an arbitrary limit.
-    """
-    global _recursion_floor_set
-    if _recursion_floor_set:
-        return
-    with _recursion_lock:
-        if _recursion_floor_set:
-            return
-        if sys.getrecursionlimit() < _PICKLE_RECURSION_LIMIT:
-            sys.setrecursionlimit(_PICKLE_RECURSION_LIMIT)
-        _recursion_floor_set = True
 
 
 @dataclass(frozen=True)
@@ -145,10 +108,6 @@ class CacheStats:
     evicted_bytes: int = 0
     #: On-disk footprint after the most recent ``gc``/``disk_bytes`` scan.
     disk_bytes: int = 0
-    #: Shared-network-tier traffic: local misses served by ``remote_dir``
-    #: (each also counts as a stage hit) and artefacts published back.
-    remote_hits: int = 0
-    remote_stores: int = 0
 
     @property
     def total_hits(self) -> int:
@@ -168,8 +127,6 @@ class CacheStats:
             "evicted_entries": self.evicted_entries,
             "evicted_bytes": self.evicted_bytes,
             "disk_bytes": self.disk_bytes,
-            "remote_hits": self.remote_hits,
-            "remote_stores": self.remote_stores,
             "stages": {
                 stage: {
                     "hits": self.hits.get(stage, 0),
@@ -193,17 +150,11 @@ class CacheStats:
                 f" (evicted {self.evicted_entries} entries"
                 f" / {self.evicted_bytes} bytes)"
             )
-        if self.remote_hits or self.remote_stores:
-            lines.append(
-                f"  remote tier: {self.remote_hits} hits,"
-                f" {self.remote_stores} stores"
-            )
         return lines
 
 
 class CompileCache:
-    """Tiered (memory + optional disk + optional network) content-addressed
-    artefact store.
+    """Tiered (memory + optional disk) content-addressed artefact store.
 
     >>> cache = CompileCache()                       # memory-only tier
     >>> key = CacheKey(module_hash="abc", pipeline="canonicalize")
@@ -221,24 +172,19 @@ class CompileCache:
     False
 
     Pass ``cache_dir`` to add the on-disk tier (written atomically, safe
-    to share between parallel evaluation workers) and ``remote_dir`` to
-    add the shared network tier behind it (a mounted NFS/sshfs path;
-    read-through on miss, write-back on store, same atomic-rename
-    publishing — so warm artefacts dedup across machines).
+    to share between parallel evaluation workers).
     """
 
     def __init__(
         self,
         cache_dir: str | Path | None = None,
         *,
-        remote_dir: str | Path | None = None,
         max_bytes: int | None = None,
     ) -> None:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.remote_dir = Path(remote_dir) if remote_dir is not None else None
         #: On-disk budget :meth:`trim` evicts down to (``None``: unbounded).
         self.max_bytes = max_bytes
-        #: Pickled entries by digest: the same bytes the disk tiers hold.
+        #: JSON entries by digest: the same bytes the disk tier holds.
         self._memory: dict[str, bytes] = {}
         #: Incremental on-disk footprint; ``None`` until the first
         #: ``disk_bytes()``/``gc()`` rescan establishes the baseline.
@@ -247,7 +193,7 @@ class CompileCache:
         #: service runs request compiles on an executor while its event
         #: loop probes/serves warm hits): the memory tier, the stats
         #: counters and the incremental byte counter mutate under this
-        #: lock.  Disk/remote tiers were already multi-process safe.
+        #: lock.  The disk tier is already multi-process safe.
         self._lock = threading.RLock()
         self.stats = CacheStats()
 
@@ -268,22 +214,20 @@ class CompileCache:
         """
         settings = settings or {}
         cache_dir = settings.get("cache_dir")
-        remote_dir = settings.get("remote_cache_dir")
         max_bytes = settings.get("cache_max_bytes")
         if max_bytes is not None:
             if not cache_dir:
                 raise ValueError("--cache-max-bytes needs --cache-dir")
             if max_bytes < 0:
                 raise ValueError(f"--cache-max-bytes must be >= 0, got {max_bytes}")
-        if not (cache_dir or remote_dir):
+        if not cache_dir:
             return None
-        return cls(cache_dir or None, remote_dir=remote_dir or None, max_bytes=max_bytes)
+        return cls(cache_dir, max_bytes=max_bytes)
 
     def settings(self) -> dict[str, Any]:
         """This cache as a JSON-safe :meth:`from_settings` dict."""
         return {
             "cache_dir": str(self.cache_dir) if self.cache_dir is not None else None,
-            "remote_cache_dir": str(self.remote_dir) if self.remote_dir is not None else None,
             "cache_max_bytes": self.max_bytes,
         }
 
@@ -291,43 +235,17 @@ class CompileCache:
 
     def _path(self, digest: str) -> Path:
         assert self.cache_dir is not None
-        return self.cache_dir / digest[:2] / f"{digest}.pkl"
-
-    def _remote_path(self, digest: str) -> Path:
-        assert self.remote_dir is not None
-        return self.remote_dir / digest[:2] / f"{digest}.pkl"
-
-    # -- pickle helpers -------------------------------------------------------
-
-    @staticmethod
-    def _dumps(value: Any) -> bytes:
-        _ensure_pickle_recursion_floor()
-        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @staticmethod
-    def _loads(blob: bytes) -> Any:
-        _ensure_pickle_recursion_floor()
-        # Every object an unpickle creates stays reachable from its result,
-        # so a collection triggered mid-load finds no garbage; on a large
-        # heap a full collection landing here costs more than the restore.
-        with _gc_lock:
-            enabled = gc.isenabled()
-            gc.disable()
-            try:
-                return pickle.loads(blob)
-            finally:
-                if enabled:
-                    gc.enable()
+        return self.cache_dir / digest[:2] / f"{digest}.json"
 
     # -- core API -------------------------------------------------------------
 
     def get(self, key: CacheKey, stage: str) -> Any | None:
         """Look up one stage artefact; ``None`` means miss.
 
-        Lookup order is memory → local disk → shared remote tier; a disk
-        or remote hit is kept in the memory tier, and a remote hit is also
-        copied read-through into the local disk tier.  Every hit unpickles
-        a private copy.
+        Lookup order is memory → disk; a disk hit is kept in the memory
+        tier.  Every hit decodes a private copy.  An entry that does not
+        decode is a miss, counted in ``stats.errors``, and the next
+        :meth:`put` overwrites it.
         """
         digest = key.digest(stage)
         with self._lock:
@@ -339,13 +257,13 @@ class CompileCache:
             return value
 
     def probe(self, key: CacheKey, stage: str) -> bool:
-        """Hit check *without restoring*: is the artefact in any tier?
+        """Hit check *without restoring*: is the artefact in either tier?
 
-        Nothing is unpickled, decoded or promoted between tiers, and the
-        hit/miss counters are untouched — so a front-door service can
-        answer "would this request be warm?" (admission control, the
-        cache fast path) without paying a restore or skewing the stats
-        that record real serves.  Probes are counted separately.
+        Nothing is decoded or promoted between tiers, and the hit/miss
+        counters are untouched — so a front-door service can answer
+        "would this request be warm?" (admission control, the cache fast
+        path) without paying a restore or skewing the stats that record
+        real serves.  Probes are counted separately.
 
         >>> cache = CompileCache()
         >>> key = CacheKey(module_hash="abc")
@@ -362,48 +280,28 @@ class CompileCache:
             self.stats.probes += 1
             if digest in self._memory:
                 return True
-        if self.cache_dir is not None and self._path(digest).is_file():
-            return True
-        if self.remote_dir is not None and self._remote_path(digest).is_file():
-            return True
-        return False
+        return self.cache_dir is not None and self._path(digest).is_file()
 
     def _restore(self, digest: str) -> Any | None:
-        """Unpickle ``digest`` from the first tier that holds it."""
+        """Decode ``digest`` from the first tier that holds it."""
         blob = self._memory.get(digest)
-        tier: str | None = "memory"
-        if blob is None:
-            blob, tier = self._read_tiers(digest)
-            if blob is None:
+        from_disk = blob is None
+        if from_disk:
+            if self.cache_dir is None:
+                return None
+            try:
+                blob = self._path(digest).read_bytes()
+            except OSError:
                 return None
         try:
-            value = self._loads(blob)
-        except Exception:
-            # A truncated/stale/unreadable entry is a miss, not a crash.
+            value = json.loads(blob)
+        except (ValueError, RecursionError):
+            # A truncated, foreign or older-format entry is a miss, not a crash.
             self.stats.errors += 1
             self._memory.pop(digest, None)
             return None
-        if tier != "memory":
+        if from_disk:
             self._memory[digest] = blob
-            self._after_tier_hit(digest, tier, blob)
-        return value
-
-    def _read_tiers(self, digest: str) -> tuple[bytes | None, str | None]:
-        """Raw bytes for ``digest`` from local disk, then the remote tier."""
-        if self.cache_dir is not None:
-            try:
-                return self._path(digest).read_bytes(), "disk"
-            except OSError:
-                pass
-        if self.remote_dir is not None:
-            try:
-                return self._remote_path(digest).read_bytes(), "remote"
-            except OSError:
-                pass
-        return None, None
-
-    def _after_tier_hit(self, digest: str, tier: str | None, blob: bytes) -> None:
-        if tier == "disk":
             # Refresh mtime so gc()'s LRU sees *use* recency, not just
             # store recency — hot entries must outlive cold one-offs in
             # long-lived shared directories.
@@ -411,55 +309,39 @@ class CompileCache:
                 os.utime(self._path(digest))
             except OSError:
                 pass
-        elif tier == "remote":
-            self.stats.remote_hits += 1
-            if self.cache_dir is not None:
-                # Read-through: future lookups (and gc accounting) are
-                # served locally, with a fresh mtime.
-                self._write_local(self._path(digest), blob)
+        return value
 
     def put(self, key: CacheKey, stage: str, value: Any) -> None:
         """Store one stage artefact in every configured tier.
 
-        ``value`` is pickled once, and the memory tier, the local disk and
-        — written back with the same atomic rename — the shared remote
-        directory all keep those bytes, so the caller may go on mutating
-        ``value`` after the call.  An unpicklable value is not stored.
+        ``value`` is encoded as JSON once and both tiers keep those bytes,
+        so the caller may go on mutating ``value`` after the call.  A value
+        JSON cannot encode is not stored.
         """
         digest = key.digest(stage)
         with self._lock:
             try:
-                blob = self._dumps(value)
-            except Exception:
+                blob = json.dumps(value, sort_keys=True).encode()
+            except (TypeError, ValueError, RecursionError):
                 self.stats.errors += 1
                 return
             self._memory[digest] = blob
             self.stats.stores[stage] += 1
             if self.cache_dir is not None:
-                self._write_local(self._path(digest), blob)
-            if self.remote_dir is not None and self._write_atomic(
-                self._remote_path(digest), blob
-            ):
-                self.stats.remote_stores += 1
+                self._write(self._path(digest), blob)
 
-    def _write_local(self, path: Path, blob: bytes) -> bool:
-        """Write to the local disk tier, keeping the incremental byte
-        counter in step (an overwrite replaces the old entry's bytes)."""
+    def _write(self, path: Path, blob: bytes) -> None:
+        """Publish ``blob`` at ``path`` via temp-file + same-directory
+        rename (atomic on POSIX filesystems, including NFS mounts), so
+        parallel writers never observe a torn entry, and keep the
+        incremental byte counter in step (an overwrite replaces the old
+        entry's bytes)."""
         old = 0
         if self._disk_bytes_counter is not None:
             try:
                 old = path.stat().st_size
             except OSError:
                 old = 0
-        ok = self._write_atomic(path, blob)
-        if ok and self._disk_bytes_counter is not None:
-            self._disk_bytes_counter += len(blob) - old
-        return ok
-
-    def _write_atomic(self, path: Path, blob: bytes) -> bool:
-        """Publish ``blob`` at ``path`` via temp-file + same-directory
-        rename (atomic on POSIX filesystems, including NFS mounts), so
-        parallel writers on any machine never observe a torn entry."""
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -475,8 +357,9 @@ class CompileCache:
                 raise
         except OSError:
             self.stats.errors += 1
-            return False
-        return True
+            return
+        if self._disk_bytes_counter is not None:
+            self._disk_bytes_counter += len(blob) - old
 
     # -- maintenance ----------------------------------------------------------
 
@@ -484,7 +367,7 @@ class CompileCache:
         """Every on-disk entry as ``(mtime, size, path)``, oldest first."""
         assert self.cache_dir is not None
         entries: list[tuple[float, int, Path]] = []
-        for path in self.cache_dir.glob("*/*.pkl"):
+        for path in self.cache_dir.glob("*/*.json"):
             try:
                 stat = path.stat()
             except OSError:
@@ -520,9 +403,7 @@ class CompileCache:
         every disk-tier hit (best-effort) — so a hot, constantly-reused
         artefact outlives a cold one-off store even in long-lived shared
         cache directories.  Returns the number of evicted entries; the
-        memory tier is left untouched (it dies with the process anyway)
-        and the shared remote tier is never evicted from here (each
-        machine gc's only its own local tier).
+        memory tier is left untouched (it dies with the process anyway).
         """
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
@@ -570,16 +451,12 @@ class CompileCache:
 
 
 def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
-    """Declare ``--cache-dir``, ``--remote-cache-dir`` and
-    ``--cache-max-bytes``: the compile-cache flags every CLI shares."""
+    """Declare ``--cache-dir`` and ``--cache-max-bytes``: the
+    compile-cache flags every CLI shares."""
     group = parser.add_argument_group("compile cache")
     group.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="content-addressed compile cache directory, "
                        "shared across runs and processes")
-    group.add_argument("--remote-cache-dir", default=None, metavar="DIR",
-                       help="shared network cache tier behind --cache-dir "
-                       "(an NFS/sshfs-mounted path): read-through on miss, "
-                       "written back on store")
     group.add_argument("--cache-max-bytes", type=int, default=None, metavar="BYTES",
                        help="evict least-recently-used --cache-dir entries "
                        "down to this on-disk budget when the run ends "

@@ -1,9 +1,8 @@
-"""Distributed shard orchestrator for the scenario matrix.
+"""Shard orchestrator for the scenario matrix.
 
-``shmls-orchestrate`` (or ``python -m repro.evaluation.orchestrator``) is
-the driver the ROADMAP names as the unlock for multi-machine scale: it
+``shmls-orchestrate`` (or ``python -m repro.evaluation.orchestrator``)
 plans the full scenario matrix once, groups the cases by module, fans the
-resulting shards out through a pluggable :class:`ShardLauncher`, streams
+resulting shards out through a :class:`ShardLauncher`, streams
 per-case results over a JSONL event channel while the shards are still
 running, and merges the shard artefacts into the usual deterministic
 report.
@@ -16,12 +15,9 @@ The pieces, in pipeline order:
   :func:`order_by_module` and cuts the ordering into even contiguous
   shards with :func:`split_shards`, so each module's sweep stays on as
   few shards as the cut allows.
-* **Launching** — :class:`LocalLauncher` runs shards in-process (tests,
-  single machines); :class:`SubprocessLauncher` spawns one
-  ``--run-shard`` worker process per shard; :class:`RemoteLauncher` fans
-  the same worker argv out over a machine list through a command
-  template (``ssh {host} -- {argv}`` being the canonical instance).
-  Process-based launchers capture each worker's stdout/stderr into
+* **Launching** — :class:`LocalLauncher` runs shards in-process;
+  :class:`SubprocessLauncher` spawns one ``--run-shard`` worker process
+  per shard and captures its stdout/stderr into
   ``state_dir/shard<i>.log``.  ``--dry-run`` prints the plan, lints
   every planned case and exits.
 * **Fault tolerance** — the fleet loop (:func:`run_fleet`, driven by
@@ -63,7 +59,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shlex
 import subprocess
 import sys
 import time
@@ -521,7 +516,6 @@ class ShardHandle:
     spec: dict[str, Any]
     #: 1-based attempt number of this shard lineage (retries increment it).
     attempt: int = 1
-    host: str | None = None
     proc: subprocess.Popen | None = None
     #: Synchronous launchers record the exit code directly.
     code: int | None = None
@@ -580,60 +574,27 @@ class LocalLauncher(ShardLauncher):
         return 1
 
 
-class CommandLauncher(ShardLauncher):
-    """Launch each shard worker as a *command* rendered from a template.
+class SubprocessLauncher(ShardLauncher):
+    """One ``python -m repro.evaluation.orchestrator --run-shard`` worker
+    process per shard on this machine.
 
-    The template is a shell-style string containing the placeholders
-    ``{argv}`` (the worker command line, ``python -m
-    repro.evaluation.orchestrator --run-shard <spec.json>``) and
-    optionally ``{host}``.  ``"{argv}"`` runs the worker locally;
-    ``"ssh {host} -- {argv}"`` runs it on a machine list (see
-    :class:`RemoteLauncher`).  Worker stdout/stderr are captured to
+    :meth:`command_for` builds the worker command line from the shard's
+    spec file.  Worker stdout/stderr are captured to
     ``state_dir/shard<i>.log`` so a crashed worker always leaves a trace
     the orchestrator can quote.
     """
 
-    name = "command"
-    template = "{argv}"
+    name = "subprocess"
 
-    def __init__(self, python: str | None = None) -> None:
-        self.python = python or sys.executable
-
-    # -- template rendering ---------------------------------------------------
-
-    def _worker_argv(self, spec_path: Path) -> list[str]:
+    def command_for(self, spec_path: Path) -> list[str]:
         return [
-            self.python, "-m", "repro.evaluation.orchestrator",
+            sys.executable, "-m", "repro.evaluation.orchestrator",
             "--run-shard", str(spec_path),
         ]
 
-    def command_for(self, spec_path: Path, host: str | None) -> list[str]:
-        argv = self._worker_argv(spec_path)
-        rendered: list[str] = []
-        for token in shlex.split(self.template):
-            if token == "{argv}":
-                rendered.extend(argv)
-            else:
-                token = token.replace("{host}", host or "")
-                if "{argv}" in token:
-                    token = token.replace("{argv}", shlex.join(argv))
-                rendered.append(token)
-        return rendered
-
-    # -- host selection (machine-list backends override) ----------------------
-
-    def pick_host(self) -> str | None:
-        return None
-
-    def release_host(self, host: str | None) -> None:
-        pass
-
-    # -- lifecycle ------------------------------------------------------------
-
     def _environment(self) -> dict[str, str]:
         env = dict(os.environ)
-        # Workers must import repro exactly as this process does.  (Over
-        # ssh the template must provide the remote environment instead.)
+        # Workers must import repro exactly as this process does.
         src_dir = str(Path(__file__).resolve().parents[2])
         parts = [src_dir] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
         env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(parts))
@@ -643,18 +604,16 @@ class CommandLauncher(ShardLauncher):
         state_dir = Path(spec["state_dir"])
         spec_path = state_dir / f"shard{spec['shard']}.json"
         spec_path.write_text(json.dumps(spec, indent=2, sort_keys=True))
-        host = self.pick_host()
         log_path = state_dir / f"shard{spec['shard']}.log"
         log_handle = log_path.open("ab")
         proc = subprocess.Popen(
-            self.command_for(spec_path, host),
+            self.command_for(spec_path),
             env=self._environment(),
             stdout=log_handle,
             stderr=subprocess.STDOUT,
         )
         return ShardHandle(
-            spec=spec, host=host, proc=proc,
-            log_path=log_path, _log_handle=log_handle,
+            spec=spec, proc=proc, log_path=log_path, _log_handle=log_handle,
         )
 
     def poll_shard(self, handle: ShardHandle) -> int | None:
@@ -662,68 +621,11 @@ class CommandLauncher(ShardLauncher):
         if code is not None and handle._log_handle is not None:
             handle._log_handle.close()
             handle._log_handle = None
-            self.release_host(handle.host)
         return code
 
     def kill(self, handle: ShardHandle) -> None:
         if handle.proc is not None and handle.proc.poll() is None:
             handle.proc.kill()  # SIGKILL: the worker gets no chance to tidy up
-
-
-class SubprocessLauncher(CommandLauncher):
-    """One ``python -m repro.evaluation.orchestrator --run-shard`` process
-    per shard on this machine — :class:`RemoteLauncher`'s degenerate case
-    (the template is just ``{argv}``, no host)."""
-
-    name = "subprocess"
-
-
-class RemoteLauncher(CommandLauncher):
-    """Machine-list backend: round-robin shard workers over ``hosts``
-    through a command template, ``ssh {host} -- {argv}`` by default.
-
-    The state directory (and any ``--cache-dir``/``--remote-cache-dir``)
-    must be a path shared by every machine — an NFS/sshfs mount or a
-    synced checkout — since workers write their manifests and event
-    streams there and the orchestrator tails them.  Templates can inject
-    whatever the remote side needs, e.g.::
-
-        ssh {host} -- env PYTHONPATH=/mnt/repro/src {argv}
-
-    A free host is preferred over a busy one, so work stolen from a dead
-    machine lands on surviving machines first.
-    """
-
-    name = "remote"
-
-    def __init__(
-        self,
-        hosts: Sequence[str],
-        template: str = "ssh {host} -- {argv}",
-        python: str | None = None,
-    ) -> None:
-        super().__init__(python=python)
-        if not hosts:
-            raise ValueError("RemoteLauncher needs at least one host")
-        self.hosts = list(hosts)
-        self.template = template
-        self._busy: dict[str, int] = {host: 0 for host in self.hosts}
-        self._rotation = 0
-
-    def pick_host(self) -> str | None:
-        # Least-busy wins; ties rotate so shards spread over the list.
-        ordered = self.hosts[self._rotation:] + self.hosts[:self._rotation]
-        self._rotation = (self._rotation + 1) % len(self.hosts)
-        host = min(ordered, key=lambda h: self._busy[h])
-        self._busy[host] += 1
-        return host
-
-    def release_host(self, host: str | None) -> None:
-        if host in self._busy and self._busy[host] > 0:
-            self._busy[host] -= 1
-
-    def capacity(self) -> int | None:
-        return len(self.hosts)
 
 
 LAUNCHERS: dict[str, Callable[[], ShardLauncher]] = {
@@ -829,7 +731,7 @@ def run_fleet(
     re-queues the shard's *unfinished* cases — anything already recorded
     in a manifest is never re-run — as fresh shards after an exponential
     ``retry_backoff``, split over the launcher's idle capacity so
-    surviving machines pick it up (work stealing).  A lineage that fails
+    surviving workers pick it up (work stealing).  A lineage that fails
     more than ``max_retries`` times is reported as a hard failure with the
     tail of its worker log.
 
@@ -969,7 +871,6 @@ def orchestrate(
     repeats: int = 1,
     jobs: int = 1,
     cache_dir: str | None = None,
-    remote_cache_dir: str | None = None,
     cache_max_bytes: int | None = None,
     max_cases_per_shard: int | None = None,
     events: EventWriter | None = None,
@@ -991,7 +892,7 @@ def orchestrate(
     Partial results are merged and written in every case.
     """
     cache = CompileCache.from_settings(
-        dict(cache_dir=cache_dir, remote_cache_dir=remote_cache_dir, cache_max_bytes=cache_max_bytes)
+        dict(cache_dir=cache_dir, cache_max_bytes=cache_max_bytes)
     )
     state_dir = Path(state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
@@ -1120,19 +1021,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--shards", type=int, default=2, metavar="N",
                         help="number of shards to fan the matrix out to (default 2)")
-    parser.add_argument("--launcher", choices=sorted([*LAUNCHERS, "remote"]),
-                        default="local",
-                        help="shard backend: in-process 'local', one "
-                        "'subprocess' worker per shard, or 'remote' workers "
-                        "over a --hosts machine list")
-    parser.add_argument("--hosts", nargs="+", default=None, metavar="HOST",
-                        help="machine list for --launcher remote (shards are "
-                        "spread least-busy-first over these hosts)")
-    parser.add_argument("--remote-template", default="ssh {host} -- {argv}",
-                        metavar="TEMPLATE",
-                        help="worker command template for --launcher remote; "
-                        "{argv} is the worker command line, {host} the "
-                        "assigned machine (default 'ssh {host} -- {argv}')")
+    parser.add_argument("--launcher", choices=sorted(LAUNCHERS), default="local",
+                        help="shard backend: in-process 'local' or one "
+                        "'subprocess' worker per shard")
     parser.add_argument("--order", choices=("prefix", "case"), default="prefix",
                         help="case ordering: grouped by module into contiguous "
                         "shards (default) or case-major striding")
@@ -1198,17 +1089,8 @@ def main(argv: list[str] | None = None) -> int:
         return run_shard_spec(json.loads(Path(args.run_shard).read_text()))
     cache = cache_from_args(parser, args)
 
-    if args.launcher == "remote":
-        if not args.hosts:
-            parser.error("--launcher remote needs --hosts")
-        launcher: ShardLauncher = RemoteLauncher(
-            args.hosts, template=args.remote_template
-        )
-    else:
-        launcher = LAUNCHERS[args.launcher]()
-    if args.chaos_kill_shard is not None and isinstance(launcher, LocalLauncher):
-        parser.error("--chaos-kill-shard needs a process-based launcher "
-                     "(subprocess or remote)")
+    if args.chaos_kill_shard is not None and args.launcher == "local":
+        parser.error("--chaos-kill-shard needs --launcher subprocess")
 
     state_dir = Path(args.state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
@@ -1250,7 +1132,7 @@ def main(argv: list[str] | None = None) -> int:
     code, merged = orchestrate(
         plan,
         state_dir=state_dir,
-        launcher=launcher,
+        launcher=args.launcher,
         device=args.device,
         repeats=args.repeats,
         jobs=args.jobs,

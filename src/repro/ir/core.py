@@ -68,7 +68,7 @@ class Attribute(metaclass=InternedAttributeMeta):
 
     def __reduce__(self) -> tuple:
         # Re-intern on unpickle: the interner is per-process, so identity
-        # equality must be re-established in pool workers / cache readers.
+        # equality must be re-established in whichever process loads it.
         state = {k: v for k, v in self.__dict__.items() if k != "_hash"}
         return (reconstruct_interned, (type(self), state))
 

@@ -15,9 +15,9 @@ through it without cooperation from callers.
 
 Interning is per-process.  Pickled attributes therefore re-intern on load
 (:func:`reconstruct_interned` is the ``__reduce__`` target of
-``Attribute``), which keeps identity-equality sound across the
-``ProcessPoolExecutor`` workers of the evaluation matrix and across
-disk-cache round-trips.
+``Attribute``), which keeps identity-equality sound for any attribute
+that crosses a process boundary.  Neither the compile cache nor the
+evaluation matrix's process pool pickles IR: both pass plain result dicts.
 """
 
 from __future__ import annotations
@@ -153,8 +153,7 @@ def reconstruct_interned(cls: type, state: dict[str, Any]) -> "Attribute":
 
     Bypasses ``__init__`` (the state was validated when first built) but
     never bypasses the interner, so unpickled attributes regain identity
-    equality with locally-constructed ones — the invariant the
-    process-parallel evaluation matrix relies on.
+    equality with locally-constructed ones.
     """
     instance = object.__new__(cls)
     state.pop("_hash", None)  # recomputed (or inherited) at intern time

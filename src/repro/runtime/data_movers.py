@@ -111,8 +111,8 @@ def write_data(
 ) -> None:
     """Write each result stream back into its field's domain region.
 
-    Each stream holds one value per domain point in row-major order; they
-    are stored with one indexed assignment per field.
+    Each stream holds one value per domain point in row-major order; each
+    is read in one go and stored with one indexed assignment per field.
     """
     for stream, array, spec in zip(streams, arrays, field_specs):
         box = [
@@ -120,8 +120,8 @@ def write_data(
             for lower, upper, origin in zip(spec["lower"], spec["upper"], spec["field_lower"])
         ]
         extents = [axis.size for axis in box]
-        values = [float(stream.read()) for _ in range(int(np.prod(extents)))]
-        array[np.ix_(*box)] = np.reshape(values, extents)
+        values = stream.read_many(int(np.prod(extents)))
+        array[np.ix_(*box)] = np.asarray(values, dtype=np.float64).reshape(extents)
 
 
 # ---------------------------------------------------------------------------

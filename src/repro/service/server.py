@@ -8,11 +8,11 @@ door that can face many concurrent clients:
   the result-stage cache-key digests of its expanded cases
   (:func:`~repro.service.spec.request_digest`).
 * **Warm fast path** — a request whose every case is already in the
-  resumability manifest or the tiered
-  :class:`~repro.core.compile_cache.CompileCache` (local disk *and* the
-  ``--remote-cache-dir`` network tier; presence established by the
-  restore-free :meth:`~repro.core.compile_cache.CompileCache.probe`) is
-  answered entirely on the event loop — no compile executor, no flight.
+  resumability manifest or the
+  :class:`~repro.core.compile_cache.CompileCache` (memory or
+  ``--cache-dir``; presence established by the restore-free
+  :meth:`~repro.core.compile_cache.CompileCache.probe`) is answered
+  entirely on the event loop — no compile executor, no flight.
 * **Single-flight** — identical in-flight requests coalesce onto one
   :class:`~repro.service.singleflight.Flight`: one compile runs, its
   event stream fans out to every waiter byte-identically.

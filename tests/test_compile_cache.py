@@ -1,13 +1,16 @@
 """Tests for the content-addressed compile cache and cache-aware harness."""
 
-import gc
 import inspect
+import json
+import pickle
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.core.compile_cache import CacheKey, CompileCache, _ensure_pickle_recursion_floor
+from repro.core.compile_cache import CacheKey, CompileCache
 from repro.core.pipeline import StencilHMLSCompiler
 from repro.evaluation.harness import BenchmarkCase, EvaluationHarness
 from repro.evaluation.report import results_to_json
@@ -92,6 +95,16 @@ class TestCacheKey:
         assert cache.stats.hits["result"] == 1
 
 
+class _CreatesMarker:
+    """Pickles to a call that creates ``marker`` when the pickle is loaded."""
+
+    def __init__(self, marker: Path) -> None:
+        self.marker = marker
+
+    def __reduce__(self):
+        return (Path.touch, (self.marker,))
+
+
 class TestCompilerCache:
     """The compiler caches nothing; whole results carry the cache's
     guarantees (disk tier, one entry per case, corrupt entries miss)."""
@@ -119,34 +132,46 @@ class TestCompilerCache:
         assert dict(cache.stats.stores) == {"result": 2}
         assert len(ablated.pass_statistics) == len(staged.pass_statistics) == 8
 
-    #: A pickle naming a global that no longer exists, like the attribute
-    #: references the retired shared intern table wrote.
-    STALE_GLOBAL = b"crepro.ir.interning\nresolve_shared\n(S'0123'\ntR."
+    #: Entries that do not decode: bytes that are not JSON, a truncated
+    #: result, and pickles as older trees wrote them (a result dict, a
+    #: global that no longer exists, like the attribute references the
+    #: retired shared intern table wrote, and the deleted ``_AttributeDict``).
+    UNREADABLE = {
+        "not-json": b"not json",
+        "truncated": b'{"framework": "Stencil-HMLS", "mpts": 1',
+        "stale-global-pickle": b"crepro.ir.interning\nresolve_shared\n(S'0123'\ntR.",
+        "deleted-class-pickle": b"crepro.ir.core\n_AttributeDict\n)\x81.",
+        "protocol-5-pickle": pickle.dumps({"mpts": 1.0}, protocol=5),
+    }
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        baseline = EvaluationHarness(repeats=1, cache=CompileCache(tmp_path)).run_matrix(
-            cases=HMLS_8M
-        )
-        for payload in (b"not a pickle", self.STALE_GLOBAL):
-            for entry in tmp_path.rglob("*.pkl"):
-                entry.write_bytes(payload)
+        harness = EvaluationHarness(repeats=1, cache=CompileCache(tmp_path))
+        baseline = harness.run_matrix(cases=HMLS_8M)
+        digest = harness.result_key(HMLS_8M[0]).digest("result")
+        entry = harness.cache._path(digest)
+        assert sorted(tmp_path.rglob("*.json")) == [entry]
+        for name, payload in self.UNREADABLE.items():
+            entry.write_bytes(payload)
             fresh = CompileCache(tmp_path)
             rebuilt = EvaluationHarness(repeats=1, cache=fresh).run_matrix(cases=HMLS_8M)
-            assert fresh.stats.total_hits == 0
-            assert fresh.stats.errors > 0
-            assert fresh.stats.stores["result"] == 1  # evaluated again
-            assert _report(rebuilt) == _report(baseline)
+            assert fresh.stats.total_hits == 0, name
+            assert fresh.stats.errors == 1, name
+            assert fresh.stats.misses["result"] == 1, name
+            assert fresh.stats.stores["result"] == 1, name  # evaluated again
+            assert _report(rebuilt) == _report(baseline), name
+            # The new result overwrote the entry with one that loads.
+            assert json.loads(entry.read_bytes()) == rebuilt[0].as_dict(), name
 
     def test_entry_naming_a_deleted_class_is_a_miss(self, tmp_path):
         """Upgrade path: an entry pickled by an older tree names a class
         that no longer exists (the notifying attribute dict ops used to
         carry).  It is a counted miss, the case is evaluated again, and
         the new result overwrites the entry with one that loads."""
-        stale = b"crepro.ir.core\n_AttributeDict\n)\x81."
+        stale = self.UNREADABLE["deleted-class-pickle"]
         harness = EvaluationHarness(repeats=1, cache=CompileCache(tmp_path))
         baseline = harness.run_matrix(cases=HMLS_8M)
         digest = harness.result_key(HMLS_8M[0]).digest("result")
-        entry = tmp_path / digest[:2] / f"{digest}.pkl"
+        entry = tmp_path / digest[:2] / f"{digest}.json"
         entry.write_bytes(stale)
 
         fresh = CompileCache(tmp_path)
@@ -161,6 +186,29 @@ class TestCompilerCache:
         EvaluationHarness(repeats=1, cache=again).run_matrix(cases=HMLS_8M)
         assert again.stats.hits["result"] == 1
         assert again.stats.errors == 0
+
+    def test_a_cache_entry_cannot_run_code(self, tmp_path):
+        """Whoever can write to a shared cache directory can make an entry
+        miss, but not make a reader run code: a pickle that would create
+        a marker file when loaded is a counted miss, and nothing runs."""
+        marker = tmp_path / "marker"
+        payload = pickle.dumps(_CreatesMarker(marker))
+        pickle.loads(payload)  # the payload really runs code when unpickled
+        assert marker.exists()
+        marker.unlink()
+
+        harness = EvaluationHarness(repeats=1, cache=CompileCache(tmp_path / "cache"))
+        baseline = harness.run_matrix(cases=HMLS_8M)
+        key = harness.result_key(HMLS_8M[0])
+        entry = harness.cache._path(key.digest("result"))
+        assert json.loads(entry.read_bytes()) == baseline[0].as_dict()
+
+        entry.write_bytes(payload)
+        fresh = CompileCache(tmp_path / "cache")
+        assert fresh.get(key, "result") is None
+        assert fresh.stats.misses["result"] == 1
+        assert fresh.stats.errors == 1
+        assert not marker.exists()
 
     def test_no_cache_means_no_stats(self, module):
         compiler = StencilHMLSCompiler()
@@ -200,68 +248,6 @@ class TestHarnessResultCache:
         again = EvaluationHarness(repeats=1, cache=CompileCache(tmp_path))
         again.run_matrix(cases=cases)
         assert again.cache.stats.hits["result"] == 2
-
-
-class TestRemoteTier:
-    def _key(self, name: str = "m") -> CacheKey:
-        return CacheKey(module_hash=name)
-
-    def test_write_back_publishes_to_both_tiers(self, tmp_path):
-        local, remote = tmp_path / "local", tmp_path / "remote"
-        cache = CompileCache(local, remote_dir=remote)
-        cache.put(self._key(), "result", {"mpts": 2.0})
-        assert cache.stats.remote_stores == 1
-        digest = self._key().digest("result")
-        assert (local / digest[:2] / f"{digest}.pkl").exists()
-        assert (remote / digest[:2] / f"{digest}.pkl").exists()
-
-    def test_remote_hit_reads_through_to_local(self, tmp_path):
-        remote = tmp_path / "remote"
-        publisher = CompileCache(tmp_path / "machine-a", remote_dir=remote)
-        publisher.put(self._key(), "result", {"mpts": 2.0})
-        consumer = CompileCache(tmp_path / "machine-b", remote_dir=remote)
-        assert consumer.get(self._key(), "result") == {"mpts": 2.0}
-        assert consumer.stats.remote_hits == 1
-        assert consumer.stats.hits["result"] == 1
-        # Read-through: the artefact now lives in machine B's local tier,
-        # so a later process on B never touches the network again.
-        later = CompileCache(tmp_path / "machine-b")
-        assert later.get(self._key(), "result") == {"mpts": 2.0}
-        assert later.stats.remote_hits == 0
-
-    def test_remote_only_cache_round_trips(self, tmp_path):
-        CompileCache(remote_dir=tmp_path).put(self._key(), "result", "artefact")
-        fresh = CompileCache(remote_dir=tmp_path)
-        assert fresh.get(self._key(), "result") == "artefact"
-        assert fresh.stats.remote_hits == 1
-
-    def test_local_tier_wins_without_remote_traffic(self, tmp_path):
-        local, remote = tmp_path / "local", tmp_path / "remote"
-        CompileCache(local, remote_dir=remote).put(self._key(), "result", 1)
-        warm = CompileCache(local, remote_dir=remote)
-        assert warm.get(self._key(), "result") == 1
-        assert warm.stats.remote_hits == 0
-
-    def test_unwritable_remote_degrades_gracefully(self, tmp_path):
-        remote = tmp_path / "remote"
-        remote.write_text("a file, not a directory")
-        cache = CompileCache(tmp_path / "local", remote_dir=remote)
-        cache.put(self._key(), "result", "artefact")
-        assert cache.stats.remote_stores == 0
-        assert cache.stats.errors > 0
-        # The local store still landed; lookups that consult the broken
-        # remote tier degrade to misses instead of crashing.
-        fresh = CompileCache(tmp_path / "local", remote_dir=remote)
-        assert fresh.get(self._key(), "result") == "artefact"
-        assert fresh.get(self._key("other"), "result") is None
-
-    def test_summary_lines_report_remote_traffic(self, tmp_path):
-        publisher = CompileCache(remote_dir=tmp_path)
-        publisher.put(self._key(), "result", 1)
-        consumer = CompileCache(remote_dir=tmp_path)
-        consumer.get(self._key(), "result")
-        assert any("remote tier" in line for line in publisher.stats.summary_lines())
-        assert any("remote tier" in line for line in consumer.stats.summary_lines())
 
 
 class TestEntryIsolation:
@@ -319,22 +305,11 @@ class TestDiskBytesCounter:
         assert cache.disk_bytes() <= 600
 
 
-class TestPickleRecursionFloor:
-    def test_floor_is_raised_once_and_never_lowered(self):
-        import sys
-
-        _ensure_pickle_recursion_floor()
-        first = sys.getrecursionlimit()
-        assert first >= 100_000
-        _ensure_pickle_recursion_floor()  # idempotent
-        assert sys.getrecursionlimit() == first
-
-    def test_concurrent_dumps_do_not_corrupt_recursion_limit(self, tmp_path):
-        """Regression: the old implementation saved/restored the limit
-        around every (de)serialisation, so two overlapping calls could
-        restore a stale value mid-flight."""
-        import sys
-
+class TestConcurrentAccess:
+    def test_four_threads_put_and_get_through_one_cache(self, tmp_path):
+        """One cache shared by four threads (as ``shmls-serve`` shares its
+        cache between the event loop and the compile thread): every get
+        returns what its thread put, and nothing raises."""
         cache = CompileCache(tmp_path)
         errors = []
 
@@ -350,32 +325,6 @@ class TestPickleRecursionFloor:
         threads = [
             threading.Thread(target=hammer, args=(f"t{n}",)) for n in range(4)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert sys.getrecursionlimit() >= 100_000
-
-    def test_concurrent_loads_leave_gc_enabled(self):
-        """Unpickling pauses the collector, which is process-wide state:
-        overlapping restores from separate caches must leave it enabled."""
-        import sys
-
-        key = CacheKey(module_hash="gc")
-        caches = [CompileCache() for _ in range(8)]
-        for cache in caches:
-            cache.put(key, "result", [list(range(50)) for _ in range(200)])
-        errors = []
-
-        def hammer(cache: CompileCache) -> None:
-            try:
-                for _ in range(50):
-                    assert len(cache.get(key, "result")) == 200
-            except Exception as exc:  # pragma: no cover - failure detail
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer, args=(c,)) for c in caches]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -387,7 +336,9 @@ class TestPickleRecursionFloor:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors
-        assert gc.isenabled()
+        # A lost update of the shared counters would break these sums.
+        assert cache.stats.total_hits == sum(cache.stats.stores.values()) == 4 * 30
+        assert cache.stats.errors == 0
 
 
 class TestModuleHashKeying:

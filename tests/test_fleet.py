@@ -1,5 +1,5 @@
 """Fleet fault tolerance: chaos kills, retry/backoff, straggler replacement,
-work-stealing, worker log capture, the shared network cache tier across
+work-stealing, worker log capture, one cache directory shared across
 workers, and the byte-offset event forwarder."""
 
 from __future__ import annotations
@@ -8,12 +8,9 @@ import json
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.evaluation.harness import BenchmarkCase, EvaluationHarness
 from repro.evaluation.orchestrator import (
     EventWriter,
-    RemoteLauncher,
     SubprocessLauncher,
     _EventForwarder,
     orchestrate,
@@ -169,12 +166,12 @@ class _SleepyLauncher(SubprocessLauncher):
         self.victim_shard = victim_shard
         self.hung_once = False
 
-    def command_for(self, spec_path: Path, host: str | None) -> list[str]:
+    def command_for(self, spec_path: Path) -> list[str]:
         spec = json.loads(Path(spec_path).read_text())
         if spec["shard"] == self.victim_shard and not self.hung_once:
             self.hung_once = True
             return [sys.executable, "-c", "import time; time.sleep(600)"]
-        return super().command_for(spec_path, host)
+        return super().command_for(spec_path)
 
 
 class TestStragglerReplacement:
@@ -205,7 +202,7 @@ class TestStragglerReplacement:
 class _ExplodingLauncher(SubprocessLauncher):
     """Workers that leave a distinctive log line and die, every attempt."""
 
-    def command_for(self, spec_path: Path, host: str | None) -> list[str]:
+    def command_for(self, spec_path: Path) -> list[str]:
         return [
             sys.executable, "-c",
             "print('BoomMarker: injected worker crash'); raise SystemExit(7)",
@@ -232,58 +229,27 @@ class TestWorkerLogCapture:
         assert logs and any("BoomMarker" in p.read_text() for p in logs)
 
 
-class TestRemoteLauncher:
-    def test_default_template_renders_ssh_argv(self, tmp_path):
-        launcher = RemoteLauncher(["node-a"], python="python3")
-        command = launcher.command_for(tmp_path / "shard1.json", "node-a")
-        assert command[:4] == ["ssh", "node-a", "--", "python3"]
-        assert command[4:] == [
-            "-m", "repro.evaluation.orchestrator",
-            "--run-shard", str(tmp_path / "shard1.json"),
-        ]
-
-    def test_template_with_embedded_argv_token_is_quoted(self, tmp_path):
-        launcher = RemoteLauncher(
-            ["node-a"],
-            template="ssh {host} bash -lc 'cd /mnt/repro && {argv}'",
-            python="python3",
-        )
-        command = launcher.command_for(tmp_path / "s.json", "node-a")
-        assert command[:2] == ["ssh", "node-a"]
-        assert command[-1].startswith("cd /mnt/repro && python3 -m")
-
-    def test_hosts_are_picked_least_busy_first(self):
-        launcher = RemoteLauncher(["a", "b"])
-        first, second = launcher.pick_host(), launcher.pick_host()
-        assert {first, second} == {"a", "b"}
-        launcher.release_host(first)
-        assert launcher.pick_host() == first  # the freed host wins
-        assert launcher.capacity() == 2
-
-    def test_empty_host_list_is_rejected(self):
-        with pytest.raises(ValueError):
-            RemoteLauncher([])
-
-
 class TestSharedCacheTierAcrossWorkers:
-    def test_second_sweep_is_served_from_the_remote_tier(self, tmp_path):
-        """Two sweeps in fresh state dirs sharing only ``remote_cache_dir``:
-        the second fleet's workers (fresh processes, no local cache) must
-        serve every result from the network tier."""
+    def test_second_sweep_is_served_from_the_cache_dir(self, tmp_path):
+        """Two 2-shard subprocess sweeps in fresh state dirs sharing only
+        ``cache_dir``: the second fleet's workers (fresh processes, empty
+        memory tiers) must serve every result from the directory the first
+        fleet's workers wrote, storing nothing."""
         cases = _baseline_cases()
-        remote = str(tmp_path / "netcache")
-        orchestrate(
+        cache_dir = str(tmp_path / "cache")
+        code, _ = orchestrate(
             plan_matrix(cases, shards=2),
             state_dir=tmp_path / "state1",
             launcher=SubprocessLauncher(),
-            remote_cache_dir=remote,
+            cache_dir=cache_dir,
         )
+        assert code == 0
         events_path = tmp_path / "events2.jsonl"
         code, merged = orchestrate(
             plan_matrix(cases, shards=2),
             state_dir=tmp_path / "state2",
             launcher=SubprocessLauncher(),
-            remote_cache_dir=remote,
+            cache_dir=cache_dir,
             events=EventWriter(events_path),
             output=tmp_path / "merged.json",
         )
@@ -294,10 +260,10 @@ class TestSharedCacheTierAcrossWorkers:
             for e in read_events(events_path)
             if e["event"] == "shard_finished"
         ]
-        assert stats
+        assert len(stats) == 2
         assert sum(_stage_hits(s, "result") for s in stats) == len(pin_cases(cases))
-        assert sum(s["remote_hits"] for s in stats) > 0
-        assert all(s["remote_stores"] == 0 for s in stats)  # nothing recomputed
+        assert all(s["stages"]["result"]["misses"] == 0 for s in stats)
+        assert all(s["stages"]["result"]["stores"] == 0 for s in stats)  # nothing recomputed
 
 
 class TestEventForwarderByteOffsets:

@@ -135,6 +135,18 @@ class TestDataMovers:
         assert out[0, 0, 0] == 0.0                      # halo untouched
         assert np.count_nonzero(out) == 7               # value 0.0 at (1,1,1)
 
+    def test_write_data_short_stream_raises(self):
+        stream = FIFOStream("res")
+        stream.extend([1.0] * 7)                        # one short of the 2x2x2 box
+        out = np.zeros((4, 4, 4))
+        with pytest.raises(StreamClosedError):
+            write_data(
+                [stream], [out],
+                [{"lower": (1, 1, 1), "upper": (3, 3, 3), "field_lower": (0, 0, 0)}],
+                lanes=8,
+            )
+        assert not out.any()
+
 
 class TestExternalsFactory:
     def test_externals_cover_every_runtime_callee(self, small_shape):

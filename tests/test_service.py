@@ -442,14 +442,14 @@ class TestKillTheServer:
         proc, client = self._spawn(tmp_path, "--cache-max-bytes", "0")
         try:
             assert client.compile(BASELINE_SPEC)["complete"]["ok"] is True
-            assert list((tmp_path / "cache").rglob("*.pkl"))  # the run stored entries
+            assert list((tmp_path / "cache").rglob("*.json"))  # the run stored entries
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 0
         finally:
             if proc.poll() is None:  # pragma: no cover - cleanup on failure
                 proc.kill()
                 proc.wait(timeout=30)
-        assert not list((tmp_path / "cache").rglob("*.pkl"))
+        assert not list((tmp_path / "cache").rglob("*.json"))
 
     def test_sigterm_mid_compile_still_trims_the_cache(self, tmp_path):
         """A compile still running at SIGTERM stores its result after the
@@ -485,4 +485,4 @@ class TestKillTheServer:
                 proc.wait(timeout=30)
             streamer.join(timeout=30)
         assert len(manifest.read_text().strip().splitlines()) < len(spec["variants"])
-        assert not list((tmp_path / "cache").rglob("*.pkl"))
+        assert not list((tmp_path / "cache").rglob("*.json"))
