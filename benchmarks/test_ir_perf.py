@@ -3,8 +3,9 @@
 Enforces the measured wins of attribute interning and emits a
 ``BENCH_ir.json`` trajectory artifact (uploaded by CI) so the numbers are
 tracked over time rather than asserted once: a ≥ 90% intern-hit rate over
-a compile session, and equality that degenerates to identity for
-structurally equal attributes.
+a compile session, equality that degenerates to identity for
+structurally equal attributes, and an HLS→LLVM lowering that splices ops
+into a block only to outline ``hls.dataflow`` regions.
 """
 
 from __future__ import annotations
@@ -16,10 +17,13 @@ from pathlib import Path
 import pytest
 
 from repro.core.pipeline import StencilHMLSCompiler
+from repro.dialects import hls
+from repro.ir.core import Block
 from repro.ir.interning import ATTRIBUTE_INTERNER, intern_stats
 from repro.kernels.grids import PW_ADVECTION_SIZES, TRACER_ADVECTION_SIZES
 from repro.kernels.pw_advection import build_pw_advection
 from repro.kernels.tracer_advection import build_tracer_advection
+from repro.transforms.hls_to_llvm import HLSToLLVMPass
 
 _RECORD: dict[str, object] = {}
 
@@ -70,3 +74,26 @@ def test_attribute_equality_is_identity_on_representative_module():
                 seen += 1
     _RECORD["identity"] = {"attributes_checked": seen}
     assert seen > 100
+
+
+def test_hls_to_llvm_lowering_splices_only_to_outline_dataflow(monkeypatch):
+    """Lowering tracer 8M's HLS module rebuilds each block once: it calls
+    ``Block.insert_op_before`` (a scan plus a shift of the block) at most
+    once per ``hls.dataflow`` op, never once per lowered op."""
+    module = StencilHMLSCompiler().compile(
+        build_tracer_advection(TRACER_ADVECTION_SIZES["8M"].shape)
+    ).hls_module.clone()
+    dataflow_ops = sum(isinstance(op, hls.DataflowOp) for op in module.walk())
+    calls = 0
+    insert_op_before = Block.insert_op_before
+
+    def counting(self, op, anchor):
+        nonlocal calls
+        calls += 1
+        return insert_op_before(self, op, anchor)
+
+    monkeypatch.setattr(Block, "insert_op_before", counting)
+    HLSToLLVMPass().apply(module)
+    _RECORD["hls_to_llvm"] = {"insert_op_before_calls": calls, "dataflow_ops": dataflow_ops}
+    assert dataflow_ops > 0
+    assert calls <= dataflow_ops, f"{calls} splices for {dataflow_ops} hls.dataflow ops"

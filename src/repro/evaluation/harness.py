@@ -464,10 +464,14 @@ class EvaluationHarness:
                 keys[index] = self.result_key(case, name)
                 payload = self.cache.get(keys[index], "result")
                 if payload is not None:
-                    results[index] = FrameworkResult.from_dict(payload)
-                    if on_result is not None:
-                        on_result(case, name, results[index], True)
-                    continue
+                    try:
+                        results[index] = FrameworkResult.from_dict(payload)
+                    except ValueError:
+                        pass  # not a result: evaluate the case and overwrite it
+                    else:
+                        if on_result is not None:
+                            on_result(case, name, results[index], True)
+                        continue
             pending.append(index)
 
         def finished(index: int, result: FrameworkResult) -> None:

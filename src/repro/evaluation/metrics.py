@@ -77,26 +77,35 @@ class FrameworkResult:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "FrameworkResult":
-        """Rebuild a result from :meth:`as_dict` output (cache / JSON merge)."""
-        return cls(
-            framework=payload["framework"],
-            kernel=payload["kernel"],
-            size_label=payload["size"],
-            points=payload["points"],
-            variant=payload.get("variant", "default"),
-            status=payload.get("status", "ok"),
-            mpts=payload.get("mpts", 0.0),
-            runtime_s=payload.get("runtime_s", 0.0),
-            average_power_w=payload.get("average_power_w", 0.0),
-            energy_j=payload.get("energy_j", 0.0),
-            achieved_ii=payload.get("achieved_ii", 0),
-            compute_units=payload.get("compute_units", 0),
-            utilisation=dict(payload.get("utilisation", {})),
-            error=payload.get("error", ""),
-            notes=list(payload.get("notes", [])),
-            pass_statistics=[dict(s) for s in payload.get("pass_statistics", [])],
-        )
+    def from_dict(cls, payload: Any) -> "FrameworkResult":
+        """Rebuild a result from :meth:`as_dict` output (cache / JSON merge).
+
+        Raises :class:`ValueError` when ``payload`` is not such a dict: not
+        a dict at all, a required key missing, or a field of the wrong kind.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(f"a result entry must be a dict, not {type(payload).__name__}")
+        try:
+            return cls(
+                framework=payload["framework"],
+                kernel=payload["kernel"],
+                size_label=payload["size"],
+                points=payload["points"],
+                variant=payload.get("variant", "default"),
+                status=payload.get("status", "ok"),
+                mpts=payload.get("mpts", 0.0),
+                runtime_s=payload.get("runtime_s", 0.0),
+                average_power_w=payload.get("average_power_w", 0.0),
+                energy_j=payload.get("energy_j", 0.0),
+                achieved_ii=payload.get("achieved_ii", 0),
+                compute_units=payload.get("compute_units", 0),
+                utilisation=dict(payload.get("utilisation", {})),
+                error=payload.get("error", ""),
+                notes=list(payload.get("notes", [])),
+                pass_statistics=[dict(s) for s in payload.get("pass_statistics", [])],
+            )
+        except (KeyError, TypeError) as err:
+            raise ValueError(f"not a result entry: {type(err).__name__}: {err}") from err
 
 
 def speedup(result: FrameworkResult, baseline: FrameworkResult) -> float:

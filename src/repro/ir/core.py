@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.ir.interning import InternedAttributeMeta, reconstruct_interned
@@ -141,11 +140,15 @@ class SSAValue:
 
     # -- use/def chain ------------------------------------------------------
 
-    def add_use(self, use: "Use") -> None:
-        self.uses.append(use)
-
-    def remove_use(self, use: "Use") -> None:
-        self.uses.remove(use)
+    def remove_use(self, operation: "Operation", index: int) -> "Use":
+        """Drop and return the use of ``self`` by operand ``index`` of
+        ``operation``; raises :class:`ValueError` if there is none."""
+        uses = self.uses
+        for position, use in enumerate(uses):
+            if use.operation is operation and use.index == index:
+                del uses[position]
+                return use
+        raise ValueError(f"operand {index} of {operation.name} is not a use of this value")
 
     def replace_all_uses_with(self, new_value: "SSAValue") -> None:
         """Rewrite every user of ``self`` to use ``new_value`` instead."""
@@ -169,12 +172,14 @@ class SSAValue:
         return f"<{type(self).__name__} {self.name_hint or ''}: {self.type!r}>"
 
 
-@dataclass(frozen=True)
 class Use:
     """A single (operation, operand-index) use of an SSA value."""
 
-    operation: "Operation"
-    index: int
+    __slots__ = ("operation", "index")
+
+    def __init__(self, operation: "Operation", index: int) -> None:
+        self.operation = operation
+        self.index = index
 
     def __hash__(self) -> int:
         return hash((id(self.operation), self.index))
@@ -185,6 +190,9 @@ class Use:
             and other.operation is self.operation
             and other.index == self.index
         )
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"Use({self.operation!r}, {self.index})"
 
 
 class OpResult(SSAValue):
@@ -247,52 +255,43 @@ class Operation(IRNode):
         attributes: dict[str, Attribute] | None = None,
         regions: Sequence["Region"] | None = None,
     ) -> None:
-        self._operands: list[SSAValue] = []
-        self.results: list[OpResult] = [
-            OpResult(t, self, i) for i, t in enumerate(result_types)
-        ]
+        self._operands = _register_uses(self, operands)
+        self.results: tuple[OpResult, ...] = tuple(
+            [OpResult(t, self, i) for i, t in enumerate(result_types)]
+        )
         self.attributes: dict[str, Attribute] = dict(attributes) if attributes else {}
-        self.regions: list[Region] = []
+        self.regions: tuple[Region, ...] = tuple(regions) if regions else ()
         self.parent: Block | None = None
         self._uid = next(_op_counter)
-        for operand in operands:
-            self._append_operand(operand)
-        for region in regions or []:
-            self.add_region(region)
+        for region in self.regions:
+            region.parent = self
 
     # -- operands -----------------------------------------------------------
 
     @property
     def operands(self) -> tuple[SSAValue, ...]:
-        return tuple(self._operands)
-
-    def _append_operand(self, value: SSAValue) -> None:
-        if not isinstance(value, SSAValue):
-            raise TypeError(
-                f"operand of {self.name} must be an SSAValue, got {type(value).__name__}"
-            )
-        index = len(self._operands)
-        self._operands.append(value)
-        value.add_use(Use(self, index))
+        return self._operands
 
     def replace_operand(self, index: int, new_value: SSAValue) -> None:
-        old = self._operands[index]
-        old.remove_use(Use(self, index))
-        self._operands[index] = new_value
-        new_value.add_use(Use(self, index))
+        operands = self._operands
+        use = operands[index].remove_use(self, index)
+        self._operands = (*operands[:index], new_value, *operands[index + 1:])
+        new_value.uses.append(use)
 
     def set_operands(self, new_operands: Sequence[SSAValue]) -> None:
+        self._drop_operand_uses()
+        self._operands = _register_uses(self, new_operands)
+
+    def _drop_operand_uses(self) -> None:
         for i, operand in enumerate(self._operands):
-            operand.remove_use(Use(self, i))
-        self._operands = []
-        for operand in new_operands:
-            self._append_operand(operand)
+            operand.remove_use(self, i)
+        self._operands = ()
 
     # -- regions ------------------------------------------------------------
 
     def add_region(self, region: "Region") -> "Region":
         region.parent = self
-        self.regions.append(region)
+        self.regions = (*self.regions, region)
         return region
 
     @property
@@ -350,12 +349,10 @@ class Operation(IRNode):
         self.drop_all_references()
 
     def drop_all_references(self) -> None:
-        for i, operand in enumerate(self._operands):
-            operand.remove_use(Use(self, i))
-        self._operands = []
+        self._drop_operand_uses()
         for region in self.regions:
             for block in region.blocks:
-                for op in list(block.ops):
+                for op in block._ops:
                     op.drop_all_references()
 
     def walk(self) -> Iterator["Operation"]:
@@ -429,6 +426,19 @@ class Operation(IRNode):
         return f"<{type(self).__name__} {self.name} #{self._uid}>"
 
 
+def _register_uses(op: Operation, operands: Sequence[SSAValue]) -> tuple[SSAValue, ...]:
+    """``operands`` as a tuple, each recorded as a use by ``op``."""
+    values = tuple(operands)
+    for value in values:
+        if not isinstance(value, SSAValue):
+            raise TypeError(
+                f"operand of {op.name} must be an SSAValue, got {type(value).__name__}"
+            )
+    for index, value in enumerate(values):
+        value.uses.append(Use(op, index))
+    return values
+
+
 def _nested_ops(op: Operation) -> Iterator[Operation]:
     """The ops directly inside ``op``'s regions; each block listed lazily."""
     return itertools.chain.from_iterable(
@@ -499,6 +509,22 @@ class Block(IRNode):
 
     def insert_op_after(self, op: Operation, anchor: Operation) -> Operation:
         return self.insert_op(op, self._ops.index(anchor) + 1)
+
+    def set_ops(self, ops: Iterable[Operation]) -> None:
+        """Make ``ops`` the block's operations, in order, in one step.
+
+        Ops of the old list that are not in ``ops`` are detached; each op
+        of ``ops`` must be unattached or already in this block.
+        """
+        new_ops = list(ops)
+        for op in new_ops:
+            if op.parent is not None and op.parent is not self:
+                raise VerifyException("operation already attached to another block")
+        for op in self._ops:
+            op.parent = None
+        for op in new_ops:
+            op.parent = self
+        self._ops = new_ops
 
     def index_of(self, op: Operation) -> int:
         return self._ops.index(op)

@@ -187,14 +187,20 @@ class CompileService:
         self, digest: str, key: CacheKey
     ) -> tuple[dict[str, Any] | None, str]:
         """A case's deterministic result entry if it is warm: manifest
-        first, then a cache probe (restore only on a positive probe)."""
+        first, then a cache probe (restore only on a positive probe).  A
+        cache entry that is not a result is cold: its flight compiles the
+        case and overwrites the entry."""
         entry = self.manifest.get(digest)
         if entry is not None:
             return entry["result"], "manifest"
         if self.cache is not None and self.cache.probe(key, "result"):
             payload = self.cache.get(key, "result")
             if payload is not None:
-                return deterministic_entry(payload), "cache"
+                try:
+                    result = FrameworkResult.from_dict(payload)
+                except ValueError:
+                    return None, ""
+                return deterministic_entry(result.as_dict()), "cache"
         return None, ""
 
     def handle_compile_request(self, payload: Any) -> tuple[Any, dict[str, Any]]:

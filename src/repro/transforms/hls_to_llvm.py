@@ -135,30 +135,50 @@ class HLSToLLVMPass(ModulePass):
     # -- op-by-op lowering -----------------------------------------------------------------
 
     def _lower_ops(self, module: ModuleOp, func: FuncOp) -> None:
-        for op in list(func.walk()):
-            if op.parent is None:
-                continue
-            if isinstance(op, hls.CreateStreamOp):
-                self._lower_create_stream(module, op)
-            elif isinstance(op, hls.ReadOp):
-                self._lower_simple_call(module, op, FIFO_READ, [op.stream], [op.result.type])
-            elif isinstance(op, hls.WriteOp):
-                self._lower_simple_call(module, op, FIFO_WRITE, [op.value, op.stream], [])
-            elif isinstance(op, hls.EmptyOp):
-                self._lower_simple_call(module, op, FIFO_EMPTY, [op.stream], [op.result.type])
-            elif isinstance(op, hls.FullOp):
-                self._lower_simple_call(module, op, FIFO_FULL, [op.stream], [op.result.type])
-            elif isinstance(op, hls.PipelineOp):
-                self._lower_annotation(module, op, f"{PIPELINE_PREFIX}{op.ii}")
-            elif isinstance(op, hls.UnrollOp):
-                self._lower_annotation(module, op, f"{UNROLL_PREFIX}{op.factor}")
-            elif isinstance(op, hls.ArrayPartitionOp):
-                self._lower_annotation(module, op, f"{ARRAY_PARTITION_PREFIX}{op.kind}")
-            elif isinstance(op, hls.InterfaceOp):
-                self._lower_interface(module, op)
+        for region in func.regions:
+            for block in region.blocks:
+                self._lower_block(module, block)
 
-    def _lower_create_stream(self, module: ModuleOp, op: hls.CreateStreamOp) -> None:
-        block = op.parent
+    def _lower_block(self, module: ModuleOp, block: Block) -> None:
+        """Lower the HLS ops of ``block``, and of the blocks nested in it,
+        in pre-order; the block gets its new op list in one step."""
+        new_ops: list[Operation] = []
+        for op in block.ops:
+            replacement = self._lower_op(module, op)
+            if replacement is None:
+                new_ops.append(op)
+                for region in op.regions:
+                    for nested in region.blocks:
+                        self._lower_block(module, nested)
+            else:
+                op.drop_all_references()
+                new_ops.extend(replacement)
+        block.set_ops(new_ops)
+
+    def _lower_op(self, module: ModuleOp, op: Operation) -> list[Operation] | None:
+        """The ops replacing ``op``, with its results already rewired to
+        them, or ``None`` when ``op`` stays."""
+        if isinstance(op, hls.CreateStreamOp):
+            return self._lower_create_stream(op)
+        if isinstance(op, hls.ReadOp):
+            return self._lower_simple_call(module, op, FIFO_READ, [op.stream], [op.result.type])
+        if isinstance(op, hls.WriteOp):
+            return self._lower_simple_call(module, op, FIFO_WRITE, [op.value, op.stream], [])
+        if isinstance(op, hls.EmptyOp):
+            return self._lower_simple_call(module, op, FIFO_EMPTY, [op.stream], [op.result.type])
+        if isinstance(op, hls.FullOp):
+            return self._lower_simple_call(module, op, FIFO_FULL, [op.stream], [op.result.type])
+        if isinstance(op, hls.PipelineOp):
+            return self._lower_annotation(module, f"{PIPELINE_PREFIX}{op.ii}")
+        if isinstance(op, hls.UnrollOp):
+            return self._lower_annotation(module, f"{UNROLL_PREFIX}{op.factor}")
+        if isinstance(op, hls.ArrayPartitionOp):
+            return self._lower_annotation(module, f"{ARRAY_PARTITION_PREFIX}{op.kind}")
+        if isinstance(op, hls.InterfaceOp):
+            return self._lower_interface(module, op)
+        return None
+
+    def _lower_create_stream(self, op: hls.CreateStreamOp) -> list[Operation]:
         element_type = op.element_type
         struct_type = LLVMStructType([element_type])
         one = llvm_d.ConstantOp(1, i32)
@@ -167,32 +187,25 @@ class HLSToLLVMPass(ModulePass):
         gep = llvm_d.GEPOp(alloca.result, [0, 0], element_type)
         depth = llvm_d.ConstantOp(op.depth, i32)
         set_depth = llvm_d.CallOp(llvm_d.SET_STREAM_DEPTH_INTRINSIC, [gep.result, depth.result])
-        for new_op in (one, alloca, gep, depth, set_depth):
-            block.insert_op_before(new_op, op)
         op.result.replace_all_uses_with(alloca.result)
-        op.erase()
+        return [one, alloca, gep, depth, set_depth]
 
     def _lower_simple_call(self, module: ModuleOp, op: Operation, callee: str,
-                           operands: list[SSAValue], result_types: list) -> None:
+                           operands: list[SSAValue], result_types: list) -> list[Operation]:
         self._declare(module, callee)
         call = llvm_d.CallOp(callee, operands, result_types)
-        block = op.parent
-        block.insert_op_before(call, op)
         for old_res, new_res in zip(op.results, call.results):
             old_res.replace_all_uses_with(new_res)
-        op.erase()
+        return [call]
 
-    def _lower_annotation(self, module: ModuleOp, op: Operation, callee: str) -> None:
+    def _lower_annotation(self, module: ModuleOp, callee: str) -> list[Operation]:
         """Directives become calls to empty void functions with no arguments."""
         self._declare(module, callee)
-        call = CallOp(callee, [])
-        op.parent.insert_op_before(call, op)
-        op.erase(safe=False)
+        return [CallOp(callee, [])]
 
-    def _lower_interface(self, module: ModuleOp, op: hls.InterfaceOp) -> None:
+    def _lower_interface(self, module: ModuleOp, op: hls.InterfaceOp) -> list[Operation]:
         self._declare(module, INTERFACE_ANNOTATION)
         call = CallOp(INTERFACE_ANNOTATION, [op.argument])
         call.attributes["protocol"] = StringAttr(op.protocol)
         call.attributes["bundle"] = StringAttr(op.bundle)
-        op.parent.insert_op_before(call, op)
-        op.erase()
+        return [call]

@@ -13,6 +13,7 @@ import pytest
 from repro.core.compile_cache import CacheKey, CompileCache
 from repro.core.pipeline import StencilHMLSCompiler
 from repro.evaluation.harness import BenchmarkCase, EvaluationHarness
+from repro.evaluation.metrics import FrameworkResult
 from repro.evaluation.report import results_to_json
 from repro.ir.hashing import module_hash
 from repro.ir.pass_registry import canonical_pipeline_spec
@@ -161,6 +162,24 @@ class TestCompilerCache:
             assert _report(rebuilt) == _report(baseline), name
             # The new result overwrote the entry with one that loads.
             assert json.loads(entry.read_bytes()) == rebuilt[0].as_dict(), name
+
+    #: Entries that decode as JSON but are not a result dict.
+    NOT_RESULTS = {"list": b"[]", "empty-dict": b"{}", "number": b"5"}
+
+    def test_entry_that_is_not_a_result_is_evaluated_again(self, tmp_path):
+        harness = EvaluationHarness(repeats=1, cache=CompileCache(tmp_path))
+        baseline = harness.run_matrix(cases=HMLS_8M)
+        entry = harness.cache._path(harness.result_key(HMLS_8M[0]).digest("result"))
+        for name, payload in self.NOT_RESULTS.items():
+            with pytest.raises(ValueError):
+                FrameworkResult.from_dict(json.loads(payload))
+            entry.write_bytes(payload)
+            fresh = CompileCache(tmp_path)
+            rebuilt = EvaluationHarness(repeats=1, cache=fresh).run_matrix(cases=HMLS_8M)
+            assert fresh.stats.stores["result"] == 1, name  # evaluated again
+            assert _report(rebuilt) == _report(baseline), name
+            stored = json.loads(entry.read_bytes())
+            assert FrameworkResult.from_dict(stored).as_dict() == stored, name
 
     def test_entry_naming_a_deleted_class_is_a_miss(self, tmp_path):
         """Upgrade path: an entry pickled by an older tree names a class

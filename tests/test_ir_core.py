@@ -264,6 +264,20 @@ class TestBlocksAndRegions:
         with pytest.raises(VerifyException):
             block2.add_op(op)
 
+    def test_set_ops_installs_a_new_op_list(self):
+        block = Block()
+        kept, dropped = arith.ConstantOp.from_float(1.0), arith.ConstantOp.from_float(2.0)
+        block.add_ops([kept, dropped])
+        new = arith.ConstantOp.from_float(3.0)
+        block.set_ops([new, kept])
+        assert block.ops == (new, kept)
+        assert new.parent is block and kept.parent is block and dropped.parent is None
+        other = Block()
+        other.add_op(dropped)
+        with pytest.raises(VerifyException):
+            block.set_ops([dropped])
+        assert block.ops == (new, kept) and dropped.parent is other
+
     def test_terminator_property(self):
         block = Block()
         block.add_op(arith.ConstantOp.from_float(1.0))

@@ -237,6 +237,25 @@ class TestWarmFastPath:
             assert [e["source"] for e in warm["events"]] == ["cache"]
             assert server.service.stats.dispatched == 0
 
+    def test_cache_entry_that_is_not_a_result_is_compiled_again(self, tmp_path):
+        """A cache entry that decodes as JSON but is not a result dict is
+        not served warm: a fresh service compiles the case again, answers
+        with the cold result and overwrites the entry."""
+        spec = {"kernel": "pw_advection", "size": "8M", "frameworks": ["Vitis HLS"],
+                "repeats": 1}
+        with ServiceThread(cache=CompileCache(tmp_path / "cache")) as server:
+            cold = ServiceClient("127.0.0.1", server.port).compile(spec)
+        (entry,) = (tmp_path / "cache").rglob("*.json")
+        for payload in (b"[]", b"{}", b"5"):
+            entry.write_bytes(payload)
+            with ServiceThread(cache=CompileCache(tmp_path / "cache")) as server:
+                again = ServiceClient("127.0.0.1", server.port).compile(spec)
+                assert again["accepted"]["warm"] is False, payload
+                assert [e["source"] for e in again["events"]] == ["compile"], payload
+                assert server.service.stats.cases_compiled == 1, payload
+            assert again["complete"]["results"] == cold["complete"]["results"], payload
+            assert json.loads(entry.read_bytes())["framework"] == "Vitis HLS", payload
+
     def test_stats_and_health_endpoints(self, tmp_path):
         with ServiceThread(cache=CompileCache(tmp_path / "cache")) as server:
             client = ServiceClient("127.0.0.1", server.port)
