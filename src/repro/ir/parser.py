@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from typing import Any
 
-from repro.ir.core import Attribute, Block, Operation, Region, SSAValue
+from repro.ir.core import Attribute, Block, Operation, Region, SSAValue, VerifyException
 from repro.ir.attributes import (
     ArrayAttr,
     BoolAttr,
@@ -181,14 +181,24 @@ class Parser:
         if token[1] != text:
             raise ParseError(f"expected '{text}', found '{token[1]}'")
 
+    def _next_int(self, what: str) -> int:
+        text = self._next()[1]
+        try:
+            return int(text)
+        except ValueError as err:
+            raise ParseError(f"expected {what}, found '{text}'") from err
+
     # -- types -------------------------------------------------------------------
 
     def parse_type(self) -> Attribute:
         kind, text = self._next()
-        if kind == "ident":
-            return self._parse_named_type(text)
-        if kind == "exclaim":
-            return self._parse_dialect_type(text)
+        try:
+            if kind == "ident":
+                return self._parse_named_type(text)
+            if kind == "exclaim":
+                return self._parse_dialect_type(text)
+        except VerifyException as err:
+            raise ParseError(f"invalid type '{text}': {err}") from err
         if text == "(":
             # Function type: (t1, t2) -> (t3)
             inputs = []
@@ -213,10 +223,13 @@ class Parser:
             return IndexType()
         if text == "none":
             return NoneType()
-        if re.fullmatch(r"i\d+", text):
-            return IntegerType(int(text[1:]))
-        if re.fullmatch(r"f\d+", text):
-            return FloatType(int(text[1:]))
+        try:
+            if re.fullmatch(r"i\d+", text):
+                return IntegerType(int(text[1:]))
+            if re.fullmatch(r"f\d+", text):
+                return FloatType(int(text[1:]))
+        except VerifyException as err:
+            raise ParseError(f"invalid type '{text}': {err}") from err
         if text in ("memref", "tensor", "vector"):
             return self._parse_shaped_type(text)
         raise ParseError(f"unknown type '{text}'")
@@ -299,7 +312,7 @@ class Parser:
             return LLVMStructType(elements)
         if name == "llvm.array":
             self._expect("<")
-            count = int(self._next()[1])
+            count = self._next_int("an element count in '!llvm.array'")
             # The printed form is "<8 x f64>"; the 'x' may appear fused.
             kind, text = self._next()
             if text == "x":
@@ -323,9 +336,9 @@ class Parser:
             element: Attribute | None = None
             while element is None:
                 self._expect("[")
-                lower = int(self._next()[1])
+                lower = self._next_int("a lower bound in '!stencil.field'")
                 self._expect(",")
-                upper = int(self._next()[1])
+                upper = self._next_int("an upper bound in '!stencil.field'")
                 self._expect("]")
                 bounds.append((lower, upper))
                 kind, text = self._next()
@@ -365,9 +378,14 @@ class Parser:
             value_text = text
             if self._accept(":"):
                 value_type = self.parse_type()
-                if isinstance(value_type, FloatType):
-                    return FloatAttr(float(value_text), value_type)
-                return IntAttr(int(float(value_text)), value_type)
+                try:
+                    if isinstance(value_type, FloatType):
+                        return FloatAttr(float(value_text), value_type)
+                    return IntAttr(int(float(value_text)), value_type)
+                except (OverflowError, VerifyException) as err:
+                    raise ParseError(
+                        f"invalid attribute '{value_text} : {value_type}': {err}"
+                    ) from err
             if "." in value_text or "e" in value_text or "E" in value_text:
                 return FloatAttr(float(value_text))
             return IntAttr(int(value_text))
@@ -420,7 +438,10 @@ class Parser:
             self._expect("<")
             protocol = self._next()[1]
             self._expect(">")
-            return AxiProtocolAttr(protocol)
+            try:
+                return AxiProtocolAttr(protocol)
+            except VerifyException as err:
+                raise ParseError(f"invalid AXI protocol '{protocol}': {err}") from err
         raise ParseError(f"unknown dialect attribute '#{name}'")
 
     def parse_attribute_dict(self) -> dict[str, Attribute]:

@@ -10,11 +10,26 @@ These mirror the C++ runtime the paper links against the generated LLVM-IR:
   writes them back to external memory in 512-bit chunks.
 
 The hardware moves one element per cycle; functionally only what is moved,
-and in which order, matters, so every mover handles a whole stream at once:
-``load_data`` and ``duplicate_stream`` append all their items with one
-:meth:`~repro.runtime.streams.FIFOStream.extend` per stream,
-``shift_buffer`` builds every window of the domain with one numpy gather
-and ``write_data`` stores each result stream with one indexed assignment.
+and in which order, matters, so every mover handles whole blocks of a
+:class:`~repro.runtime.streams.FIFOStream` at once:
+
+* ``load_data`` copies each field once and queues it as one ``(packs,
+  lanes)`` array (a short last pack goes on its own);
+* ``shift_buffer`` takes its input's blocks with
+  :meth:`~repro.runtime.streams.FIFOStream.drain_blocks`, flattens each by
+  reshaping it, and gathers every window of the domain with one flat index
+  into the field, queued as one ``(points, lanes)`` array.  The index
+  depends only on the :class:`~repro.core.plan.ShiftSpec` geometry, so it
+  is built once per distinct geometry and kept, read-only, in a bounded
+  cache shared by every simulator in the process;
+* ``duplicate_stream`` drains its source once and gives every consumer its
+  own copy of each block, so no two consumers share memory;
+* ``write_data`` stores each result stream with one indexed assignment.
+
+A stream owns what is queued on it (see :mod:`repro.runtime.streams`), so
+the movers copy exactly where an array could otherwise be written by two
+owners: ``load_data`` copies the caller's field and ``duplicate_stream``
+copies per consumer.
 
 The factory :func:`make_externals` builds callables specialised for a given
 :class:`~repro.core.plan.DataflowPlan` (the paper specialises ``load_data``
@@ -25,7 +40,8 @@ can simply hand the dictionary to the interpreter.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -37,12 +53,16 @@ from repro.runtime.window import window_offsets
 def load_data(arrays: Sequence[np.ndarray], streams: Sequence[FIFOStream], lanes: int) -> None:
     """Stream each array's elements, grouped into ``lanes``-wide packs.
 
-    Each array is copied once; its packs are slices of that copy, so the
-    last one is shorter when ``lanes`` does not divide the array's size.
+    Each array is copied once and queued as one ``(packs, lanes)`` view of
+    the copy; when ``lanes`` does not divide the array's size, the shorter
+    last pack is written on its own.
     """
     for array, stream in zip(arrays, streams):
         flat = np.array(array, dtype=np.float64, order="C").reshape(-1)
-        stream.extend([flat[start : start + lanes] for start in range(0, flat.size, lanes)])
+        whole = flat.size - flat.size % lanes
+        stream.extend(flat[:whole].reshape(-1, lanes))
+        if whole < flat.size:
+            stream.write(flat[whole:])
 
 
 def shift_buffer(
@@ -78,29 +98,59 @@ def shift_buffer(
     array([ 1.,  2.,  3.,  5.,  6.,  7.,  9., 10., 11.])
     """
     shape = tuple(grid_shape)
-    packs = [np.asarray(pack, dtype=np.float64).reshape(-1) for pack in in_stream.drain()]
-    if packs:
-        flat = np.concatenate(packs)[: int(np.prod(shape))]
-    else:
-        flat = np.zeros(int(np.prod(shape)))
+    size = int(np.prod(shape))
+    pieces = [_flatten(block) for block in in_stream.drain_blocks()]
+    flat = np.concatenate(pieces)[:size] if pieces else np.zeros(size)
     field = flat.reshape(shape)
-    rank = len(shape)
+    index = _window_index(
+        shape, tuple(field_lower), tuple(domain_lower), tuple(domain_upper), radius
+    )
+    out_stream.extend(np.take(field, index))
+
+
+def _flatten(block: Sequence[Any]) -> np.ndarray:
+    """A queued block's values in stream order, as one flat float64 array."""
+    if isinstance(block, np.ndarray):
+        return block.reshape(-1).astype(np.float64, copy=False)
+    return np.concatenate([np.asarray(item, dtype=np.float64).reshape(-1) for item in block])
+
+
+@lru_cache(maxsize=256)
+def _window_index(
+    grid_shape: tuple[int, ...],
+    field_lower: tuple[int, ...],
+    domain_lower: tuple[int, ...],
+    domain_upper: tuple[int, ...],
+    radius: int,
+) -> np.ndarray:
+    """The flat index into the field of every window lane, ``(points, lanes)``.
+
+    Built once per geometry and shared, so it is read-only; a window that
+    leaves the field raises ``ValueError``.
+    """
+    rank = len(grid_shape)
     offsets = np.array(window_offsets(rank, radius)).T          # (rank, lanes)
     extents = [max(upper - lower, 0) for lower, upper in zip(domain_lower, domain_upper)]
     points = np.indices(extents).reshape(rank, -1)               # (rank, points)
     start = np.subtract(domain_lower, field_lower)[:, None]
-    index = (points + start)[:, :, None] + offsets[:, None, :]  # (rank, points, lanes)
-    out_stream.extend(field[tuple(index)])
+    coords = (points + start)[:, :, None] + offsets[:, None, :]  # (rank, points, lanes)
+    index = np.ravel_multi_index(tuple(coords), grid_shape)
+    index.flags.writeable = False
+    return index
 
 
 def duplicate_stream(source: FIFOStream, copies: Sequence[FIFOStream]) -> None:
     """Fan one stream out to several consumers (step 3's duplication stage).
 
-    Every consumer gets its own copy of each item.
+    Every consumer gets its own copy of each block.
     """
-    items = source.drain()
+    blocks = source.drain_blocks()
     for copy in copies:
-        copy.extend([np.array(item, copy=True) for item in items])
+        for block in blocks:
+            if isinstance(block, np.ndarray):
+                copy.extend(block.copy())
+            else:
+                copy.extend([np.array(item, copy=True) for item in block])
 
 
 def write_data(

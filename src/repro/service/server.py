@@ -67,6 +67,10 @@ _MAX_HEADER_BYTES = 16 * 1024
 _MAX_BODY_BYTES = 1024 * 1024
 
 
+class _FlightStopped(Exception):
+    """Raised out of ``run_matrix`` to end a flight once the service stops."""
+
+
 @dataclass
 class ServiceStats:
     """Lifetime request counters (the /stats payload's service section)."""
@@ -131,6 +135,10 @@ class CompileService:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
         self._tasks: set[asyncio.Task] = set()
+        # Set by stop(); under the lock so that no compile thread publishes
+        # to the event loop once it may have closed.
+        self._stopping = False
+        self._publish_lock = threading.Lock()
         from concurrent.futures import ThreadPoolExecutor
 
         self._compile_pool = ThreadPoolExecutor(
@@ -325,16 +333,23 @@ class CompileService:
         restart), then :meth:`run_matrix` handles the rest — cache-warm
         cases ahead of fresh compiles, every completion bridged back to
         the event loop thread-safely.
+
+        Once :meth:`stop` has been called the flight finishes the case it is
+        running (so that case is cached and manifested), starts no other and
+        logs each case it abandons to stderr.
         """
         index = 0
         entries: list[dict[str, Any]] = []
 
         def publish(event: dict[str, Any]) -> None:
             self.stats.cases_streamed += 1
-            loop.call_soon_threadsafe(flight.publish, event)
+            with self._publish_lock:
+                if not self._stopping:
+                    loop.call_soon_threadsafe(flight.publish, event)
 
         pending: list[BenchmarkCase] = []
         key_by_case: dict[BenchmarkCase, CacheKey] = {}
+        done: set[BenchmarkCase] = set()
         for case, key, slot_digest in zip(cases, keys, digests):
             entry = self.manifest.get(slot_digest)
             if entry is not None:
@@ -355,6 +370,7 @@ class CompileService:
         ) -> None:
             nonlocal index
             index += 1
+            done.add(case)
             record = self.manifest.record(key_by_case[case], case, result.as_dict())
             entries.append(record["result"])
             if not cached:
@@ -367,9 +383,24 @@ class CompileService:
                     "cache" if cached else "compile",
                 )
             )
+            if self._stopping:
+                raise _FlightStopped
 
-        if pending:
-            harness.run_matrix(cases=pending, on_result=on_result)
+        if pending and not self._stopping:
+            try:
+                harness.run_matrix(cases=pending, on_result=on_result)
+            except _FlightStopped:
+                pass
+        for case in pending:
+            if case not in done:
+                named = {
+                    "kernel": case.kernel,
+                    "size": case.size.label,
+                    "framework": case.framework,
+                    "variant": case.variant,
+                }
+                print(f"shmls-serve: abandoned at shutdown: {json.dumps(named)}",
+                      file=sys.stderr, flush=True)
         return entries
 
     # -- socket layer ---------------------------------------------------------
@@ -381,17 +412,22 @@ class CompileService:
         return self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
+        """Stop serving.  The running flight finishes its current case and
+        queued flights start only to log the cases they abandon; :meth:`join`
+        waits for both."""
+        with self._publish_lock:
+            self._stopping = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
         for task in list(self._tasks):
             task.cancel()
-        self._compile_pool.shutdown(wait=False, cancel_futures=True)
+        self._compile_pool.shutdown(wait=False)
 
     def join(self) -> None:
-        """Block until a compile still running after :meth:`stop` has
-        finished, and with it its cache writes."""
+        """Block until the flights still in the compile pool after
+        :meth:`stop` have finished, and with them their cache writes."""
         self._compile_pool.shutdown(wait=True)
 
     async def _handle_connection(

@@ -54,6 +54,57 @@ class TestFIFOStream:
         assert stream.empty()
 
 
+class TestOwnership:
+    """What a stream holds is its own: no caller or reader can change it,
+    and no two readers share an array."""
+
+    def test_extended_list_is_copied(self):
+        values = [1.0, 2.0]
+        stream = FIFOStream("s")
+        stream.extend(values)
+        values[0] = -1.0
+        values.append(3.0)
+        assert stream.drain() == [1.0, 2.0]
+
+    def test_mutating_a_read_list_leaves_the_stream_alone(self):
+        stream = FIFOStream("s")
+        stream.extend([1.0, 2.0, 3.0])
+        stream.extend([4.0, 5.0])
+        whole = stream.read_many(3)
+        whole[0] = -1.0
+        part = stream.read_many(1)
+        part[0] = -1.0
+        part.append(-2.0)
+        assert stream.drain() == [5.0]
+        assert stream.total_popped == 5
+
+    def test_load_data_copies_the_field(self):
+        array = np.arange(20.0).reshape(4, 5)
+        stream = FIFOStream("in")
+        load_data([array], [stream], lanes=8)
+        array[...] = -1.0
+        packs = stream.drain()
+        assert np.array_equal(np.concatenate(packs), np.arange(20.0))
+        assert not any(np.shares_memory(pack, array) for pack in packs)
+
+    def test_duplicate_stream_consumers_share_no_memory(self):
+        windows = np.arange(12.0).reshape(4, 3)
+        single = np.array([7.0, 8.0])
+        source = FIFOStream("src")
+        source.extend(windows)
+        source.write(single)
+        copies = [FIFOStream("a"), FIFOStream("b"), FIFOStream("c")]
+        duplicate_stream(source, copies)
+        drained = [copy.drain() for copy in copies]
+        for items in drained:
+            assert np.array_equal(np.concatenate(items), np.r_[np.arange(12.0), 7.0, 8.0])
+        arrays = [item for items in drained for item in items]
+        for position, item in enumerate(arrays):
+            assert not np.shares_memory(item, windows)
+            assert not np.shares_memory(item, single)
+            assert not any(np.shares_memory(item, other) for other in arrays[position + 1 :])
+
+
 class TestWindowOrdering:
     def test_window_size(self):
         assert window_size(1, 1) == 3
@@ -111,6 +162,18 @@ class TestDataMovers:
             for lane, offset in enumerate(offsets):
                 idx = tuple(p + o for p, o in zip(point, offset))
                 assert window[lane] == field[idx]
+
+    @pytest.mark.parametrize("domain_lower, domain_upper", [((0, 1), (2, 3)), ((1, 1), (3, 4))])
+    def test_shift_buffer_rejects_a_window_outside_the_field(self, domain_lower, domain_upper):
+        packs, windows = FIFOStream("in"), FIFOStream("out")
+        load_data([np.arange(16.0).reshape(4, 4)], [packs], lanes=8)
+        with pytest.raises(ValueError):
+            shift_buffer(
+                packs, windows,
+                grid_shape=(4, 4), field_lower=(0, 0),
+                domain_lower=domain_lower, domain_upper=domain_upper, radius=1,
+            )
+        assert windows.empty()
 
     def test_duplicate_stream(self):
         source = FIFOStream("src")

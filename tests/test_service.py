@@ -394,7 +394,7 @@ class TestKillTheServer:
     reconnecting client resumes from the manifest with zero recompiles of
     the completed cases and a byte-identical final result set."""
 
-    def _spawn(self, tmp_path, *extra):
+    def _spawn(self, tmp_path, *extra, log=subprocess.PIPE):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -408,7 +408,7 @@ class TestKillTheServer:
                 *extra,
             ],
             env=env,
-            stdout=subprocess.PIPE,
+            stdout=log,
             stderr=subprocess.STDOUT,
         )
         _wait_until(
@@ -505,3 +505,53 @@ class TestKillTheServer:
             streamer.join(timeout=30)
         assert len(manifest.read_text().strip().splitlines()) < len(spec["variants"])
         assert not list((tmp_path / "cache").rglob("*.json"))
+
+    def test_sigterm_mid_compile_logs_every_abandoned_case(self, tmp_path):
+        """SIGTERM while a flight compiles: the flight finishes and
+        manifests the case it is running, starts no other, and names every
+        case it abandons in the server's log; the process exits 0."""
+        variants = list(ABLATION_VARIANTS[:7])
+        spec = {"kernel": "tracer_advection", "size": "8M", "variants": variants}
+        manifest = tmp_path / "state" / "manifest-service.jsonl"
+        log_path = tmp_path / "serve.log"
+        with log_path.open("wb") as log:
+            proc, client = self._spawn(tmp_path, log=log)
+
+            def stream() -> None:
+                try:
+                    client.compile(spec)
+                except (StreamInterrupted, ConnectionError, OSError):
+                    pass  # the server goes away mid-stream
+
+            streamer = threading.Thread(target=stream, daemon=True)
+            try:
+                streamer.start()
+                _wait_until(
+                    lambda: manifest.exists() and manifest.read_text().strip(),
+                    timeout=60, message="first manifested case",
+                )
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=60) == 0
+            finally:
+                if proc.poll() is None:  # pragma: no cover - cleanup on failure
+                    proc.kill()
+                    proc.wait(timeout=30)
+                streamer.join(timeout=30)
+        manifested = [
+            json.loads(line)["case"]["variant"] for line in manifest.read_text().splitlines()
+        ]
+        prefix = "shmls-serve: abandoned at shutdown: "
+        named = [
+            json.loads(line[len(prefix):])
+            for line in log_path.read_text().splitlines()
+            if line.startswith(prefix)
+        ]
+        assert all(
+            (case["kernel"], case["size"], case["framework"])
+            == ("tracer_advection", "8M", "Stencil-HMLS")
+            for case in named
+        )
+        abandoned = [case["variant"] for case in named]
+        assert len(manifested) < len(variants)
+        assert len(manifested) + len(abandoned) == len(variants)
+        assert sorted(manifested + abandoned) == sorted(variants)
